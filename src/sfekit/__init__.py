@@ -31,6 +31,7 @@ from .hybrid import (
     hillclimb_engine,
     identity_engine,
     make_pso_engine,
+    resolve_algorithm,
     resolve_engine,
     sfe_ec_search,
     sfe_pso_search,
@@ -86,6 +87,7 @@ __all__ = [
     "position_update",
     "pso_search",
     "random_mask",
+    "resolve_algorithm",
     "resolve_engine",
     "run_experiment",
     "selection",

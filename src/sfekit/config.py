@@ -8,16 +8,15 @@ override the scalar knobs and filter the matrix without editing the file.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import os
 from dataclasses import dataclass, field
 
 from .bpso import PsoParams
-from .hybrid import HybridParams, resolve_engine
+from .hybrid import HybridParams, resolve_algorithm
 from .sfe import SfeParams
 
 __all__ = ["ConfigError", "DatasetSpec", "ExperimentConfig", "load_config", "write_config"]
-
-_BUILTIN_ALGOS = ("sfe", "bpso", "sfe_pso")
 
 
 class ConfigError(ValueError):
@@ -86,33 +85,41 @@ def _parse_label_col(raw: str):
         return raw
 
 
-def _section_params(parser, section, cls, caster, where):
+def _section_params(parser, section, cls, where):
+    """Build ``cls`` from an INI section. The keys are the fields with a
+    plain default, and the type of that default parses the value."""
     if not parser.has_section(section):
         return cls()
     kwargs = {}
-    valid = set(cls.__dataclass_fields__)
+    types = {f.name: type(f.default) for f in dataclasses.fields(cls)
+             if f.default is not dataclasses.MISSING}
     for key, raw in parser.items(section):
-        if key not in valid:
+        if key not in types:
             raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
-        kwargs[key] = caster[key](raw)
+        try:
+            kwargs[key] = types[key](raw)
+        except ValueError:
+            raise ConfigError(
+                f"{where}: [{section}] {key}: cannot parse {raw!r} as {types[key].__name__}"
+            ) from None
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: [{section}]: {exc}") from None
+        raise ConfigError(f"{where}: [{section}] {exc}") from None
 
 
 def validate(cfg: ExperimentConfig, check_files: bool = True) -> None:
     if not cfg.algorithms:
         raise ConfigError("no algorithms configured")
+    try:
+        params = cfg.hybrid_params()
+    except ValueError as exc:
+        raise ConfigError(f"[hybrid] {exc}") from None
     for algo in cfg.algorithms:
-        if algo in _BUILTIN_ALGOS:
-            continue
-        if algo.startswith("sfe_ec:"):
-            resolve_engine(algo.split(":", 1)[1], cfg.hybrid_params())
-            continue
-        raise ConfigError(
-            f"unknown algorithm {algo!r}; known: sfe, bpso, sfe_pso, sfe_ec:<engine>"
-        )
+        try:
+            resolve_algorithm(algo, params)
+        except ValueError as exc:
+            raise ConfigError(f"[experiment] algorithms: {exc}") from None
     if len(set(cfg.algorithms)) != len(cfg.algorithms):
         raise ConfigError("duplicate algorithm entries")
     if not cfg.datasets:
@@ -136,7 +143,6 @@ def validate(cfg: ExperimentConfig, check_files: bool = True) -> None:
         raise ConfigError("workers must be at least 1")
     if cfg.reference and cfg.reference not in cfg.algorithms:
         raise ConfigError(f"reference {cfg.reference!r} is not among the algorithms")
-    cfg.hybrid_params()  # raises on inconsistent stagnation settings
 
 
 def load_config(path: str, check_files: bool = True) -> ExperimentConfig:
@@ -195,28 +201,9 @@ def load_config(path: str, check_files: bool = True) -> ExperimentConfig:
             )
         )
 
-    sfe = _section_params(
-        parser, "sfe", SfeParams,
-        {"ur_max": float, "ur_min": float, "sn": int, "rf_n": int,
-         "un_policy": str.strip, "ur_denominator": str.strip},
-        path,
-    )
-    pso = _section_params(
-        parser, "pso", PsoParams,
-        {"pop_size": int, "w": float, "c1": float, "c2": float, "v_clamp": float},
-        path,
-    )
-    hybrid_keys = {}
-    if parser.has_section("hybrid"):
-        items = dict(parser.items("hybrid"))
-        bad = set(items) - {"warmup_fes", "stagnation_window"}
-        if bad:
-            raise ConfigError(f"{path}: unknown keys in [hybrid]: {sorted(bad)}")
-        for key, raw in items.items():
-            try:
-                hybrid_keys[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{path}: [hybrid] {key} must be an integer") from None
+    sfe = _section_params(parser, "sfe", SfeParams, path)
+    pso = _section_params(parser, "pso", PsoParams, path)
+    hybrid = _section_params(parser, "hybrid", HybridParams, path)
 
     cfg = ExperimentConfig(
         algorithms=algorithms,
@@ -233,9 +220,13 @@ def load_config(path: str, check_files: bool = True) -> ExperimentConfig:
         out=exp.get("out", "").strip(),
         sfe=sfe,
         pso=pso,
-        **hybrid_keys,
+        warmup_fes=hybrid.warmup_fes,
+        stagnation_window=hybrid.stagnation_window,
     )
-    validate(cfg, check_files=check_files)
+    try:
+        validate(cfg, check_files=check_files)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 
@@ -254,21 +245,10 @@ def write_config(cfg: ExperimentConfig, path: str) -> None:
         "fixed_folds": str(cfg.fixed_folds).lower(),
         "fold_mean": str(cfg.fold_mean).lower(),
     }
-    parser["sfe"] = {
-        "ur_max": repr(cfg.sfe.ur_max),
-        "ur_min": repr(cfg.sfe.ur_min),
-        "sn": str(cfg.sfe.sn),
-        "un_policy": cfg.sfe.un_policy,
-        "rf_n": str(cfg.sfe.rf_n),
-        "ur_denominator": cfg.sfe.ur_denominator,
-    }
-    parser["pso"] = {
-        "pop_size": str(cfg.pso.pop_size),
-        "w": repr(cfg.pso.w),
-        "c1": repr(cfg.pso.c1),
-        "c2": repr(cfg.pso.c2),
-        "v_clamp": repr(cfg.pso.v_clamp),
-    }
+    for section, params in (("sfe", cfg.sfe), ("pso", cfg.pso)):
+        parser[section] = {
+            f.name: str(getattr(params, f.name)) for f in dataclasses.fields(params)
+        }
     parser["hybrid"] = {
         "warmup_fes": str(cfg.warmup_fes),
         "stagnation_window": str(cfg.stagnation_window),

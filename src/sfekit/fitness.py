@@ -103,9 +103,6 @@ class FitnessEvaluator:
         If true, score a mask by the unweighted mean of per-fold
         accuracies. Default pools correct predictions over all folds
         before dividing, so unequal fold sizes are weighted naturally.
-    cache : bool
-        If true, repeated masks reuse the stored value. The budget is
-        charged either way.
     """
 
     def __init__(
@@ -117,7 +114,6 @@ class FitnessEvaluator:
         *,
         used: int = 0,
         fold_mean: bool = False,
-        cache: bool = False,
     ):
         if folds.fold_of_instance.size != dataset.n_instances:
             raise ValueError("fold assignment does not match the dataset")
@@ -140,7 +136,6 @@ class FitnessEvaluator:
         self.budget = budget
         self.used = used
         self.fold_mean = fold_mean
-        self._cache = {} if cache else None
         self._splits = [
             (folds.test_indices(f), folds.train_indices(f)) for f in range(folds.k)
         ]
@@ -163,7 +158,6 @@ class FitnessEvaluator:
             budget=self.budget,
             used=self.used,
             fold_mean=self.fold_mean,
-            cache=self._cache is not None,
         )
 
     def evaluate(self, mask) -> float:
@@ -181,15 +175,7 @@ class FitnessEvaluator:
         if sel.size == 0:
             raise ValueError("mask selects no features")
         self.used += 1
-        if self._cache is not None:
-            key = sel.tobytes()
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-        value = self._accuracy(sel)
-        if self._cache is not None:
-            self._cache[sel.tobytes()] = value
-        return value
+        return self._accuracy(sel)
 
     def _accuracy(self, sel: np.ndarray) -> float:
         Xs = self.dataset.X[:, sel]

@@ -10,6 +10,7 @@ it never takes the rest of the matrix down.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 import re
@@ -18,15 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bpso import pso_search
-from .config import ConfigError, DatasetSpec, ExperimentConfig, write_config
+from .config import DatasetSpec, ExperimentConfig, write_config
 from .dataset import Dataset, load_csv, stratified_kfold
 from .fitness import FitnessEvaluator
-from .hybrid import resolve_engine, sfe_ec_search, sfe_pso_search
+from .hybrid import resolve_algorithm
 from .rng import derive_seed
-from .sfe import sfe_search
-from .stats import Mark, friedman_mean_ranks, wilcoxon_ranksum
-from .trace import SearchTrace
+from .stats import friedman_mean_ranks, wilcoxon_ranksum
 
 __all__ = [
     "RunResult",
@@ -40,6 +38,15 @@ __all__ = [
 ]
 
 _SCHEMA = 1
+
+# Run-file schema 1: the RunResult attributes each record type carries, in
+# file order. Trace keys drop the "trace_" prefix. Failed runs have no trace.
+_RUN_RECORDS = {
+    "meta": ("algorithm", "dataset", "run_index", "seed", "fold_seed"),
+    "trace": ("trace_fes", "trace_best", "trace_nsel"),
+    "final": ("ok", "error", "accuracy", "n_selected", "selected_features",
+              "wall_time_s", "handoff_fes"),
+}
 
 
 @dataclass
@@ -86,38 +93,20 @@ class ExperimentReport:
     failures: list  # dicts with algorithm/dataset/run_index/seed/error
 
 
-def _execute(algorithm: str, ds: Dataset, cfg: ExperimentConfig, seed: int,
-             fold_seed: int) -> SearchTrace:
-    folds = stratified_kfold(ds, cfg.folds, fold_seed)
-    ev = FitnessEvaluator(
-        ds, folds, knn_k=cfg.knn_k, budget=cfg.budget, fold_mean=cfg.fold_mean
-    )
-    if algorithm == "sfe":
-        return sfe_search(ds, ev, cfg.sfe, seed)
-    if algorithm == "bpso":
-        return pso_search(ds, ev, cfg.pso, seed=seed)
-    if algorithm == "sfe_pso":
-        return sfe_pso_search(ds, ev, cfg.hybrid_params(), seed)
-    if algorithm.startswith("sfe_ec:"):
-        engine, floor = resolve_engine(algorithm.split(":", 1)[1], cfg.hybrid_params())
-        return sfe_ec_search(
-            ds, ev, engine, cfg.hybrid_params(), seed, min_continuation_budget=floor
-        )
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
-
-
 def _run_cell(args) -> RunResult:
     algorithm, ds, cfg, run_index, seed, fold_seed = args
+    ident = dict(algorithm=algorithm, dataset=ds.name, run_index=run_index,
+                 seed=seed, fold_seed=fold_seed)
     t0 = time.perf_counter()
     try:
-        trace = _execute(algorithm, ds, cfg, seed, fold_seed)
+        folds = stratified_kfold(ds, cfg.folds, fold_seed)
+        ev = FitnessEvaluator(
+            ds, folds, knn_k=cfg.knn_k, budget=cfg.budget, fold_mean=cfg.fold_mean
+        )
+        trace = resolve_algorithm(algorithm, cfg.hybrid_params())(ds, ev, seed)
     except Exception as exc:  # recorded, not fatal to the matrix
         return RunResult(
-            algorithm=algorithm,
-            dataset=ds.name,
-            run_index=run_index,
-            seed=seed,
-            fold_seed=fold_seed,
+            **ident,
             ok=False,
             error=f"{type(exc).__name__}: {exc}",
             wall_time_s=time.perf_counter() - t0,
@@ -125,11 +114,7 @@ def _run_cell(args) -> RunResult:
     wall = time.perf_counter() - t0
     sel = ds.feature_ids[np.flatnonzero(trace.final_mask)]
     return RunResult(
-        algorithm=algorithm,
-        dataset=ds.name,
-        run_index=run_index,
-        seed=seed,
-        fold_seed=fold_seed,
+        **ident,
         ok=True,
         accuracy=float(trace.final_fitness),
         n_selected=int(len(sel)),
@@ -152,42 +137,24 @@ def _run_path(out_dir: str, dataset: str, algorithm: str, run_index: int) -> str
     )
 
 
+def _record(kind: str, res: RunResult, **head) -> dict:
+    return {"type": kind, **head,
+            **{a.removeprefix("trace_"): getattr(res, a) for a in _RUN_RECORDS[kind]}}
+
+
 def _persist_run(out_dir: str, cfg: ExperimentConfig, res: RunResult) -> None:
     path = _run_path(out_dir, res.dataset, res.algorithm, res.run_index)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    meta = {
-        "type": "meta",
-        "schema": _SCHEMA,
-        "algorithm": res.algorithm,
-        "dataset": res.dataset,
-        "run_index": res.run_index,
-        "seed": res.seed,
-        "fold_seed": res.fold_seed,
-        "budget": cfg.budget,
-        "folds": cfg.folds,
-        "knn_k": cfg.knn_k,
-        "fold_mean": cfg.fold_mean,
-    }
-    final = {
-        "type": "final",
-        "ok": res.ok,
-        "error": res.error,
-        "accuracy": res.accuracy if res.ok else None,
-        "n_selected": res.n_selected,
-        "selected_features": res.selected_features,
-        "wall_time_s": res.wall_time_s,
-        "handoff_fes": res.handoff_fes,
-    }
+    meta = _record("meta", res, schema=_SCHEMA)
+    meta.update(budget=cfg.budget, folds=cfg.folds, knn_k=cfg.knn_k,
+                fold_mean=cfg.fold_mean)
+    final = _record("final", res)
+    if not res.ok:
+        final["accuracy"] = None  # a failed run's NaN is not valid JSON
     with open(path, "w") as fh:
         fh.write(json.dumps(meta) + "\n")
         if res.ok:
-            trace = {
-                "type": "trace",
-                "fes": res.trace_fes,
-                "best": res.trace_best,
-                "nsel": res.trace_nsel,
-            }
-            fh.write(json.dumps(trace) + "\n")
+            fh.write(json.dumps(_record("trace", res)) + "\n")
         fh.write(json.dumps(final) + "\n")
 
 
@@ -324,16 +291,7 @@ def build_report(cfg: ExperimentConfig, results) -> ExperimentReport:
 def _report_to_json(report: ExperimentReport) -> dict:
     cells = {}
     for (algorithm, dataset), st in report.cells.items():
-        entry = {
-            "n_runs": st.n_runs,
-            "n_failed": st.n_failed,
-            "worst": st.worst,
-            "best": st.best,
-            "mean": st.mean,
-            "std": st.std,
-            "mean_selected": st.mean_selected,
-            "mean_time_s": st.mean_time_s,
-        }
+        entry = dataclasses.asdict(st)
         mark = report.marks.get((algorithm, dataset))
         if mark is not None:
             entry["vs_reference"] = mark.value
@@ -408,37 +366,21 @@ def load_runs(out_dir: str):
             if not fname.endswith(".jsonl"):
                 continue
             path = os.path.join(dirpath, fname)
-            meta = trace = final = None
+            records = {}
             with open(path) as fh:
                 for line in fh:
                     rec = json.loads(line)
-                    kind = rec.get("type")
-                    if kind == "meta":
-                        meta = rec
-                    elif kind == "trace":
-                        trace = rec
-                    elif kind == "final":
-                        final = rec
-            if meta is None or final is None:
+                    records[rec.get("type")] = rec
+            if "meta" not in records or "final" not in records:
                 raise ValueError(f"{path}: incomplete run record")
-            results.append(RunResult(
-                algorithm=meta["algorithm"],
-                dataset=meta["dataset"],
-                run_index=meta["run_index"],
-                seed=meta["seed"],
-                fold_seed=meta["fold_seed"],
-                ok=final["ok"],
-                error=final["error"],
-                accuracy=final["accuracy"] if final["accuracy"] is not None
-                         else float("nan"),
-                n_selected=final["n_selected"],
-                selected_features=final["selected_features"],
-                wall_time_s=final["wall_time_s"],
-                handoff_fes=final["handoff_fes"],
-                trace_fes=trace["fes"] if trace else [],
-                trace_best=trace["best"] if trace else [],
-                trace_nsel=trace["nsel"] if trace else [],
-            ))
+            res = RunResult(**{
+                a: records[kind][a.removeprefix("trace_")]
+                for kind, attrs in _RUN_RECORDS.items() if kind in records
+                for a in attrs
+            })
+            if res.accuracy is None:
+                res.accuracy = float("nan")
+            results.append(res)
     results.sort(key=lambda r: (r.dataset, r.algorithm, r.run_index))
     return results
 

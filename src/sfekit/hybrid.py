@@ -32,6 +32,7 @@ __all__ = [
     "hillclimb_engine",
     "make_pso_engine",
     "resolve_engine",
+    "resolve_algorithm",
 ]
 
 
@@ -162,7 +163,6 @@ def make_pso_engine(params: PsoParams):
     def engine(reduced_ds, ev, seed_mask, rng):
         return pso_search(reduced_ds, ev, params, init=seed_mask, seed=rng)
 
-    engine.min_budget = params.pop_size
     return engine
 
 
@@ -180,14 +180,8 @@ def sfe_pso_search(
     particle wave of budget; with less remaining, stage one simply runs
     the budget out.
     """
-    return sfe_ec_search(
-        ds,
-        ev,
-        make_pso_engine(params.pso),
-        params,
-        seed,
-        min_continuation_budget=params.pso.pop_size,
-    )
+    engine, floor = resolve_engine("pso", params)
+    return sfe_ec_search(ds, ev, engine, params, seed, min_continuation_budget=floor)
 
 
 def identity_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
@@ -263,3 +257,27 @@ def resolve_engine(name: str, params: HybridParams):
     if name == "hillclimb":
         return hillclimb_engine, 1
     raise ValueError(f"unknown continuation engine {name!r}; known: pso, identity, hillclimb")
+
+
+def resolve_algorithm(name: str, params: HybridParams):
+    """Look up a search by its configured name.
+
+    Returns ``run(ds, ev, seed) -> SearchTrace``. Names: "sfe", "bpso",
+    "sfe_pso" and "sfe_ec:<engine>" with an engine name known to
+    `resolve_engine`. This is the one place that lists them; an unknown
+    name raises ValueError.
+    """
+    if name == "sfe":
+        return lambda ds, ev, seed: sfe_search(ds, ev, params.sfe, seed)
+    if name == "bpso":
+        return lambda ds, ev, seed: pso_search(ds, ev, params.pso, seed=seed)
+    if name == "sfe_pso":
+        return lambda ds, ev, seed: sfe_pso_search(ds, ev, params, seed)
+    if name.startswith("sfe_ec:"):
+        engine, floor = resolve_engine(name.split(":", 1)[1], params)
+        return lambda ds, ev, seed: sfe_ec_search(
+            ds, ev, engine, params, seed, min_continuation_budget=floor
+        )
+    raise ValueError(
+        f"unknown algorithm {name!r}; known: sfe, bpso, sfe_pso, sfe_ec:<engine>"
+    )

@@ -222,16 +222,6 @@ def test_evaluate_is_deterministic():
     assert ev.evaluate(mask) == ev.evaluate(mask)
 
 
-def test_cache_reuses_value_but_charges_budget():
-    ds = blob_dataset(20, 6, seed=7)
-    ev, _ = evaluator(ds, budget=3, cache=True)
-    mask = np.array([1, 0, 1, 1, 0, 1])
-    a = ev.evaluate(mask)
-    b = ev.evaluate(mask)
-    assert a == b
-    assert ev.used == 2
-
-
 def test_spawn_continues_budget_and_preserves_fitness():
     ds = blob_dataset(22, 9, seed=5)
     ev, _ = evaluator(ds, budget=10)

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import sfekit
 from sfekit import (
     ConfigError,
     DatasetSpec,
@@ -125,6 +127,19 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
     ini.write_text(f"[experiment]\nruns = 2\n[sfe]\nurmax = 0.3\n[dataset:a]\npath = {pa}\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(str(ini))
+    # bad values are reported with the file and section they came from
+    for body, where in [
+        ("[sfe]\nsn = two\n", r"\[sfe\] sn: cannot parse 'two' as int"),
+        ("[pso]\nw = fast\n", r"\[pso\] w: cannot parse 'fast' as float"),
+        ("[experiment]\nalgorithms = sfe_ec:annealing\n",
+         r"\[experiment\] algorithms: unknown continuation engine 'annealing'"),
+        ("[hybrid]\nwarmup_fes = 10\nstagnation_window = 10\n",
+         r"\[hybrid\] warmup_fes must exceed stagnation_window"),
+        ("[hybrid]\nwindow = 3\n", r"unknown key 'window' in \[hybrid\]"),
+    ]:
+        ini.write_text(body + f"[dataset:a]\npath = {pa}\n")
+        with pytest.raises(ConfigError, match=re.escape(str(ini)) + ": " + where):
+            load_config(str(ini))
 
 
 def test_validate_catches_bad_matrices(corpus):
@@ -141,6 +156,10 @@ def test_validate_catches_bad_matrices(corpus):
         validate(small_cfg(pa, reference="bpso", algorithms=("sfe",)))
     with pytest.raises(ConfigError, match="folds"):
         validate(small_cfg(pa, folds=1))
+    with pytest.raises(ConfigError, match="unknown continuation engine"):
+        validate(small_cfg(pa, algorithms=("sfe_ec:annealing",)))
+    with pytest.raises(ConfigError, match=r"\[hybrid\] warmup_fes must exceed"):
+        validate(small_cfg(pa, warmup_fes=10, stagnation_window=10))
     validate(small_cfg(pa, algorithms=("sfe_ec:identity",)))  # engine names resolve
 
 
@@ -185,13 +204,29 @@ def test_run_jsonl_records_meta_trace_final(corpus, tmp_path):
     run_experiment(cfg, str(out))
     lines = (out / "runs" / "alpha" / "sfe" / "run_0000.jsonl").read_text().splitlines()
     meta, trace, final = (json.loads(x) for x in lines)
-    assert meta["type"] == "meta" and meta["budget"] == 60
+    assert list(meta) == ["type", "schema", "algorithm", "dataset", "run_index", "seed",
+                          "fold_seed", "budget", "folds", "knn_k", "fold_mean"]
+    assert list(trace) == ["type", "fes", "best", "nsel"]
+    assert list(final) == ["type", "ok", "error", "accuracy", "n_selected",
+                           "selected_features", "wall_time_s", "handoff_fes"]
+    assert meta["type"] == "meta" and meta["schema"] == 1 and meta["budget"] == 60
     assert meta["seed"] == derive_seed(3, "sfe", "alpha", 0)
     assert trace["type"] == "trace"
     assert trace["fes"] == list(range(1, 61))
     assert len(trace["best"]) == 60 and len(trace["nsel"]) == 60
     assert final["type"] == "final" and final["ok"]
     assert final["n_selected"] == len(final["selected_features"])
+
+    # k above the training split size fails the run: meta and final, no trace
+    bad = tmp_path / "bad"
+    run_experiment(small_cfg(pa, algorithms=("sfe",), runs=1, knn_k=25), str(bad))
+    lines = (bad / "runs" / "alpha" / "sfe" / "run_0000.jsonl").read_text().splitlines()
+    assert [json.loads(x)["type"] for x in lines] == ["meta", "final"]
+    assert '"accuracy": null' in lines[1]
+    final = json.loads(lines[1])
+    assert not final["ok"] and final["error"].startswith("ValueError: knn_k=25")
+    (res,) = load_runs(str(bad))
+    assert not res.ok and np.isnan(res.accuracy) and res.trace_fes == []
 
 
 def test_rerun_is_identical_except_timing(corpus, tmp_path):
@@ -393,10 +428,13 @@ def test_console_script_entry_point(corpus, tmp_path):
     root, pa, _ = corpus
     ini = write_ini(root, pa)
     out = str(tmp_path / "out")
+    # the child imports the sfekit under test, whether installed or not
+    src = os.path.dirname(os.path.dirname(sfekit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sfekit.cli", "run", "--config", ini,
          "--out", out, "--runs", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "report.json" in proc.stdout

@@ -10,6 +10,9 @@ from sfekit import (
     SfeParams,
     hillclimb_engine,
     identity_engine,
+    make_pso_engine,
+    pso_search,
+    resolve_algorithm,
     resolve_engine,
     sfe_ec_search,
     sfe_pso_search,
@@ -158,17 +161,33 @@ def test_handoff_skipped_when_under_min_continuation_budget():
     assert ev.used == 34
 
 
-def test_pso_named_engine_matches_dedicated_entry_point():
-    ds = blob_dataset(25, 10, seed=2)
+DIRECT_ENTRY_POINTS = {
+    "sfe": lambda ds, ev, p, seed: sfe_search(ds, ev, p.sfe, seed),
+    "bpso": lambda ds, ev, p, seed: pso_search(ds, ev, p.pso, seed=seed),
+    "sfe_pso": lambda ds, ev, p, seed: sfe_pso_search(ds, ev, p, seed),
+    "sfe_ec:pso": lambda ds, ev, p, seed: sfe_ec_search(
+        ds, ev, make_pso_engine(p.pso), p, seed, min_continuation_budget=p.pso.pop_size
+    ),
+    "sfe_ec:hillclimb": lambda ds, ev, p, seed: sfe_ec_search(
+        ds, ev, hillclimb_engine, p, seed, min_continuation_budget=1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DIRECT_ENTRY_POINTS))
+def test_registry_matches_direct_entry_point(name):
     params = HybridParams(warmup_fes=30, stagnation_window=10, pso=PsoParams(pop_size=5))
-    engine, min_budget = resolve_engine("pso", params)
-    a = sfe_ec_search(ds, make_ev(ds, 250), engine, params, seed=12,
-                      min_continuation_budget=min_budget)
-    b = sfe_pso_search(ds, make_ev(ds, 250), params, seed=12)
-    assert a.fes == b.fes
-    assert a.best_fitness == b.best_fitness
-    assert a.handoff_fes == b.handoff_fes
-    assert np.array_equal(a.final_mask, b.final_mask)
+    # the flat landscape stagnates with 3 FEs left, under the pso engine's floor
+    for ds, budget in [(blob_dataset(25, 10, seed=2), 250), (constant_dataset(), 34)]:
+        a = resolve_algorithm(name, params)(ds, make_ev(ds, budget), 12)
+        b = DIRECT_ENTRY_POINTS[name](ds, make_ev(ds, budget), params, 12)
+        assert a.fes == b.fes
+        assert a.best_fitness == b.best_fitness
+        assert a.n_selected == b.n_selected
+        assert a.handoff_fes == b.handoff_fes
+        assert np.array_equal(a.final_mask, b.final_mask)
+        if name.startswith("sfe_") and budget == 250:
+            assert a.handoff_fes is not None  # the continuation engine really ran
 
 
 # ----------------------------------------------------------- engine checks
@@ -234,3 +253,5 @@ def test_resolve_engine_names():
     assert (pso_min, id_min, hc_min) == (7, 0, 1)
     with pytest.raises(ValueError, match="unknown"):
         resolve_engine("annealing", params)
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        resolve_algorithm("genetic", params)
