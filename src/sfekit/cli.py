@@ -7,7 +7,7 @@ import dataclasses
 import os
 import sys
 
-from .config import ConfigError, DatasetSpec, load_config, validate
+from .config import ConfigError, DatasetSpec, _parse_label_col, load_config, validate
 from .harness import build_report, emit_convergence, format_report, load_runs, run_experiment
 
 _OUT_ROOT_ENV = "SFEKIT_OUT"
@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--budget", type=int, help="fitness evaluations per run")
     run_p.add_argument("--seed", type=int, help="master seed of the run matrix")
     run_p.add_argument("--workers", type=int, help="parallel worker processes")
-    run_p.add_argument("--label-col", help="label column for ad-hoc CSV datasets")
+    run_p.add_argument("--label-col", default="-1", help="label column for ad-hoc CSV datasets")
     run_p.add_argument("--header", action="store_true",
                        help="ad-hoc CSV datasets have a header row")
     run_p.add_argument("--fixed-folds", action="store_true", default=None,
@@ -59,15 +59,11 @@ def _split_multi(values):
 
 
 def _apply_overrides(cfg, args):
-    updates = {}
+    scalars = ("runs", "budget", "seed", "workers", "fixed_folds", "fold_mean", "out")
+    updates = {key: getattr(args, key) for key in scalars if getattr(args, key) is not None}
     if args.algo:
         updates["algorithms"] = tuple(_split_multi(args.algo))
     if args.dataset:
-        label_col = args.label_col if args.label_col is not None else "-1"
-        try:
-            label_col = int(label_col)
-        except ValueError:
-            pass
         by_name = {spec.name: spec for spec in cfg.datasets}
         chosen = []
         for entry in _split_multi(args.dataset):
@@ -78,7 +74,7 @@ def _apply_overrides(cfg, args):
                 chosen.append(DatasetSpec(
                     name=name,
                     path=os.path.abspath(entry),
-                    label_col=label_col,
+                    label_col=_parse_label_col(args.label_col),
                     has_header=args.header,
                 ))
             else:
@@ -86,16 +82,6 @@ def _apply_overrides(cfg, args):
                     f"--dataset {entry!r} is neither a configured name nor a CSV file"
                 )
         updates["datasets"] = tuple(chosen)
-    for key in ("runs", "budget", "seed", "workers"):
-        value = getattr(args, key)
-        if value is not None:
-            updates[key] = value
-    if args.fixed_folds is not None:
-        updates["fixed_folds"] = args.fixed_folds
-    if args.fold_mean is not None:
-        updates["fold_mean"] = args.fold_mean
-    if args.out:
-        updates["out"] = args.out
     if not updates:
         return cfg
     cfg = dataclasses.replace(cfg, **updates)

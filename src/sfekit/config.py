@@ -35,6 +35,10 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment matrix. The fields with a plain default, apart from
+    ``datasets``, are the ``[experiment]`` keys of the INI file; ``out`` is
+    read but not written to the snapshot."""
+
     algorithms: tuple = ("sfe",)
     datasets: tuple = ()
     runs: int = 30
@@ -47,18 +51,7 @@ class ExperimentConfig:
     fixed_folds: bool = False
     fold_mean: bool = False
     out: str = ""
-    sfe: SfeParams = field(default_factory=SfeParams)
-    pso: PsoParams = field(default_factory=PsoParams)
-    warmup_fes: int = 2000
-    stagnation_window: int = 1000
-
-    def hybrid_params(self) -> HybridParams:
-        return HybridParams(
-            warmup_fes=self.warmup_fes,
-            stagnation_window=self.stagnation_window,
-            sfe=self.sfe,
-            pso=self.pso,
-        )
+    hybrid: HybridParams = field(default_factory=HybridParams)
 
     def pick_reference(self) -> str:
         if self.reference:
@@ -68,13 +61,13 @@ class ExperimentConfig:
         return self.algorithms[0]
 
 
-def _parse_bool(raw: str, where: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     val = raw.strip().lower()
     if val in ("1", "true", "yes", "on"):
         return True
     if val in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{where}: cannot parse {raw!r} as a boolean")
+    raise ValueError(raw)
 
 
 def _parse_label_col(raw: str):
@@ -85,39 +78,63 @@ def _parse_label_col(raw: str):
         return raw
 
 
-def _section_params(parser, section, cls, where):
-    """Build ``cls`` from an INI section. The keys are the fields with a
-    plain default, and the type of that default parses the value."""
-    if not parser.has_section(section):
-        return cls()
-    kwargs = {}
-    types = {f.name: type(f.default) for f in dataclasses.fields(cls)
-             if f.default is not dataclasses.MISSING}
-    for key, raw in parser.items(section):
-        if key not in types:
-            raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
-        try:
-            kwargs[key] = types[key](raw)
-        except ValueError:
-            raise ConfigError(
-                f"{where}: [{section}] {key}: cannot parse {raw!r} as {types[key].__name__}"
-            ) from None
+def _parse_value(raw, kind, where, section, key):
+    """Parse ``raw`` as ``kind``: bool, a comma-separated tuple, or any
+    type that takes the string, such as int, float or str."""
+    try:
+        if kind is bool:
+            return _parse_bool(raw)
+        if kind is tuple:
+            return tuple(p.strip() for p in raw.split(",") if p.strip())
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{where}: [{section}] {key}: cannot parse {raw!r} as {kind.__name__}"
+        ) from None
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(value)
+    return str(value)
+
+
+def _section_keys(cls, skip=()):
+    """The INI keys of ``cls``: its fields with a plain default, minus those
+    in ``skip``, each mapped to the type of its default."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING and f.name not in skip}
+
+
+def _read_section(parser, section, cls, where, **given):
+    """Build ``cls`` from an INI section; ``given`` fills the fields that
+    are not keys of the section. A missing section gives the defaults."""
+    kinds = _section_keys(cls, given)
+    kwargs = dict(given)
+    if parser.has_section(section):
+        for key, raw in parser.items(section):
+            if key not in kinds:
+                raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
+            kwargs[key] = _parse_value(raw, kinds[key], where, section, key)
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: [{section}] {exc}") from None
 
 
+def _write_section(parser, section, obj, skip=()) -> None:
+    parser[section] = {key: _format_value(getattr(obj, key))
+                       for key in _section_keys(type(obj), skip)}
+
+
 def validate(cfg: ExperimentConfig, check_files: bool = True) -> None:
     if not cfg.algorithms:
         raise ConfigError("no algorithms configured")
-    try:
-        params = cfg.hybrid_params()
-    except ValueError as exc:
-        raise ConfigError(f"[hybrid] {exc}") from None
     for algo in cfg.algorithms:
         try:
-            resolve_algorithm(algo, params)
+            resolve_algorithm(algo, cfg.hybrid)
         except ValueError as exc:
             raise ConfigError(f"[experiment] algorithms: {exc}") from None
     if len(set(cfg.algorithms)) != len(cfg.algorithms):
@@ -159,34 +176,15 @@ def load_config(path: str, check_files: bool = True) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file: {path}")
     base = os.path.dirname(os.path.abspath(path))
 
-    exp = dict(parser.items("experiment")) if parser.has_section("experiment") else {}
-    known = {
-        "algorithms", "runs", "budget", "folds", "knn_k", "seed", "workers",
-        "reference", "fixed_folds", "fold_mean", "out",
-    }
-    unknown = set(exp) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys in [experiment]: {sorted(unknown)}")
-
-    def geti(key, default):
-        try:
-            return int(exp[key]) if key in exp else default
-        except ValueError:
-            raise ConfigError(f"{path}: [experiment] {key} must be an integer") from None
-
-    algorithms = tuple(
-        a.strip() for a in exp.get("algorithms", "sfe").split(",") if a.strip()
-    )
-
     datasets = []
     for section in parser.sections():
         if not section.startswith("dataset:"):
             continue
         name = section.split(":", 1)[1].strip()
         items = dict(parser.items(section))
-        bad = set(items) - {"path", "label_col", "header"}
-        if bad:
-            raise ConfigError(f"{path}: unknown keys in [{section}]: {sorted(bad)}")
+        for key in items:
+            if key not in ("path", "label_col", "header"):
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
         if "path" not in items:
             raise ConfigError(f"{path}: [{section}] is missing 'path'")
         ds_path = items["path"]
@@ -197,32 +195,18 @@ def load_config(path: str, check_files: bool = True) -> ExperimentConfig:
                 name=name,
                 path=ds_path,
                 label_col=_parse_label_col(items.get("label_col", "-1")),
-                has_header=_parse_bool(items.get("header", "false"), section),
+                has_header=_parse_value(items.get("header", "false"), bool,
+                                        path, section, "header"),
             )
         )
 
-    sfe = _section_params(parser, "sfe", SfeParams, path)
-    pso = _section_params(parser, "pso", PsoParams, path)
-    hybrid = _section_params(parser, "hybrid", HybridParams, path)
-
-    cfg = ExperimentConfig(
-        algorithms=algorithms,
-        datasets=tuple(datasets),
-        runs=geti("runs", 30),
-        budget=geti("budget", 6000),
-        folds=geti("folds", 5),
-        knn_k=geti("knn_k", 1),
-        seed=geti("seed", 1),
-        workers=geti("workers", 1),
-        reference=exp.get("reference", "").strip(),
-        fixed_folds=_parse_bool(exp.get("fixed_folds", "false"), "[experiment]"),
-        fold_mean=_parse_bool(exp.get("fold_mean", "false"), "[experiment]"),
-        out=exp.get("out", "").strip(),
-        sfe=sfe,
-        pso=pso,
-        warmup_fes=hybrid.warmup_fes,
-        stagnation_window=hybrid.stagnation_window,
+    hybrid = _read_section(
+        parser, "hybrid", HybridParams, path,
+        sfe=_read_section(parser, "sfe", SfeParams, path),
+        pso=_read_section(parser, "pso", PsoParams, path),
     )
+    cfg = _read_section(parser, "experiment", ExperimentConfig, path,
+                        datasets=tuple(datasets), hybrid=hybrid)
     try:
         validate(cfg, check_files=check_files)
     except ConfigError as exc:
@@ -231,33 +215,18 @@ def load_config(path: str, check_files: bool = True) -> ExperimentConfig:
 
 
 def write_config(cfg: ExperimentConfig, path: str) -> None:
-    """Persist a resolved config; `load_config` on the result round-trips."""
+    """Persist a resolved config; `load_config` on the result round-trips,
+    apart from ``out``, which names where the snapshot goes."""
     parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "algorithms": ", ".join(cfg.algorithms),
-        "runs": str(cfg.runs),
-        "budget": str(cfg.budget),
-        "folds": str(cfg.folds),
-        "knn_k": str(cfg.knn_k),
-        "seed": str(cfg.seed),
-        "workers": str(cfg.workers),
-        "reference": cfg.reference,
-        "fixed_folds": str(cfg.fixed_folds).lower(),
-        "fold_mean": str(cfg.fold_mean).lower(),
-    }
-    for section, params in (("sfe", cfg.sfe), ("pso", cfg.pso)):
-        parser[section] = {
-            f.name: str(getattr(params, f.name)) for f in dataclasses.fields(params)
-        }
-    parser["hybrid"] = {
-        "warmup_fes": str(cfg.warmup_fes),
-        "stagnation_window": str(cfg.stagnation_window),
-    }
+    _write_section(parser, "experiment", cfg, skip=("datasets", "out"))
+    _write_section(parser, "sfe", cfg.hybrid.sfe)
+    _write_section(parser, "pso", cfg.hybrid.pso)
+    _write_section(parser, "hybrid", cfg.hybrid)
     for spec in cfg.datasets:
         parser[f"dataset:{spec.name}"] = {
             "path": os.path.abspath(spec.path),
             "label_col": str(spec.label_col),
-            "header": str(spec.has_header).lower(),
+            "header": _format_value(spec.has_header),
         }
     with open(path, "w") as fh:
         parser.write(fh)

@@ -103,7 +103,7 @@ def _run_cell(args) -> RunResult:
         ev = FitnessEvaluator(
             ds, folds, knn_k=cfg.knn_k, budget=cfg.budget, fold_mean=cfg.fold_mean
         )
-        trace = resolve_algorithm(algorithm, cfg.hybrid_params())(ds, ev, seed)
+        trace = resolve_algorithm(algorithm, cfg.hybrid)(ds, ev, seed)
     except Exception as exc:  # recorded, not fatal to the matrix
         return RunResult(
             **ident,

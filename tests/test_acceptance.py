@@ -361,7 +361,7 @@ def test_criterion_9_rerun_determinism(tmp_path):
         algorithms=("sfe", "bpso", "sfe_pso"),
         datasets=(DatasetSpec(name="alpha", path=str(csv)),),
         runs=2, budget=60, folds=4, seed=3,
-        pso=PsoParams(pop_size=5), warmup_fes=30, stagnation_window=10,
+        hybrid=HybridParams(warmup_fes=30, stagnation_window=10, pso=PsoParams(pop_size=5)),
     )
     rep1 = run_experiment(cfg, str(tmp_path / "one"))
     rep2 = run_experiment(cfg, str(tmp_path / "two"))

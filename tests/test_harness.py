@@ -13,6 +13,7 @@ from sfekit import (
     ConfigError,
     DatasetSpec,
     ExperimentConfig,
+    HybridParams,
     PsoParams,
     build_report,
     derive_seed,
@@ -50,9 +51,7 @@ def small_cfg(*paths, **over):
         budget=60,
         folds=4,
         seed=3,
-        pso=PsoParams(pop_size=5),
-        warmup_fes=30,
-        stagnation_window=10,
+        hybrid=HybridParams(warmup_fes=30, stagnation_window=10, pso=PsoParams(pop_size=5)),
     )
     base.update(over)
     return ExperimentConfig(**base)
@@ -96,6 +95,88 @@ def test_config_roundtrip(corpus, tmp_path):
     assert back == dataclasses.replace(cfg, out="")
 
 
+# A config.ini snapshot in the format of every experiment directory written
+# so far; `sfekit report` must keep reading those directories.
+GOLDEN_SNAPSHOT = """\
+[experiment]
+algorithms = sfe, bpso, sfe_pso, sfe_ec:hillclimb
+runs = 4
+budget = 900
+folds = 3
+knn_k = 3
+seed = 11
+workers = 2
+reference = sfe
+fixed_folds = true
+fold_mean = true
+
+[sfe]
+ur_max = 0.25
+ur_min = 0.01
+sn = 2
+un_policy = random_fraction
+rf_n = 10
+ur_denominator = max_fes
+
+[pso]
+pop_size = 7
+w = 0.9
+c1 = 1.75
+c2 = 1.25
+v_clamp = 4.0
+
+[hybrid]
+warmup_fes = 400
+stagnation_window = 150
+
+[dataset:alpha]
+path = /data/alpha.csv
+label_col = -1
+header = false
+
+[dataset:beta]
+path = /data/beta.csv
+label_col = cls
+header = true
+
+[dataset:gamma]
+path = /data/gamma.csv
+label_col = 0
+header = false
+
+"""
+
+
+def test_config_snapshot_golden(tmp_path):
+    ini = tmp_path / "config.ini"
+    ini.write_text(GOLDEN_SNAPSHOT)
+    cfg = load_config(str(ini), check_files=False)
+    assert cfg.algorithms == ("sfe", "bpso", "sfe_pso", "sfe_ec:hillclimb")
+    assert (cfg.knn_k, cfg.workers, cfg.reference, cfg.fixed_folds) == (3, 2, "sfe", True)
+    assert cfg.hybrid.sfe.ur_denominator == "max_fes" and cfg.hybrid.pso.v_clamp == 4.0
+    assert cfg.datasets[1] == DatasetSpec("beta", "/data/beta.csv", "cls", True)
+    back = tmp_path / "back.ini"
+    write_config(cfg, str(back))
+    assert back.read_text() == GOLDEN_SNAPSHOT
+
+    # every default comes from the dataclasses
+    ini.write_text("[dataset:a]\npath = a.csv\n")
+    spec = DatasetSpec("a", str(tmp_path / "a.csv"))
+    assert load_config(str(ini), check_files=False) == ExperimentConfig(datasets=(spec,))
+
+
+def test_readme_ini_example_loads(tmp_path):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(block)
+    cfg = load_config(str(ini), check_files=False)
+    assert cfg.out  # the example sets every [experiment] key, out too
+    listed = set(re.findall(r"^(\w+) =", block.split("\n[", 1)[0], re.M))
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"datasets", "hybrid"}
+    assert listed == keys
+
+
 def test_config_parses_all_sections(corpus, tmp_path):
     root, pa, _ = corpus
     ini = tmp_path / "exp.ini"
@@ -112,9 +193,9 @@ def test_config_parses_all_sections(corpus, tmp_path):
     assert cfg.algorithms == ("sfe", "sfe_ec:hillclimb")
     assert (cfg.runs, cfg.budget, cfg.folds, cfg.seed) == (4, 90, 3, 11)
     assert cfg.fold_mean and not cfg.fixed_folds
-    assert cfg.sfe.ur_max == 0.25 and cfg.sfe.un_policy == "random_fraction"
-    assert cfg.pso.pop_size == 7 and cfg.pso.c2 == 1.25
-    assert (cfg.warmup_fes, cfg.stagnation_window) == (40, 20)
+    assert cfg.hybrid.sfe.ur_max == 0.25 and cfg.hybrid.sfe.un_policy == "random_fraction"
+    assert cfg.hybrid.pso.pop_size == 7 and cfg.hybrid.pso.c2 == 1.25
+    assert (cfg.hybrid.warmup_fes, cfg.hybrid.stagnation_window) == (40, 20)
     assert cfg.datasets[0].path == pa  # relative path resolved to the file
 
 
@@ -122,7 +203,8 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
     _, pa, _ = corpus
     ini = tmp_path / "exp.ini"
     ini.write_text(f"[experiment]\nbudgett = 5\n[dataset:a]\npath = {pa}\n")
-    with pytest.raises(ConfigError, match="unknown keys"):
+    with pytest.raises(ConfigError,
+                       match=re.escape(str(ini)) + r": unknown key 'budgett' in \[experiment\]$"):
         load_config(str(ini))
     ini.write_text(f"[experiment]\nruns = 2\n[sfe]\nurmax = 0.3\n[dataset:a]\npath = {pa}\n")
     with pytest.raises(ConfigError, match="unknown key"):
@@ -136,6 +218,11 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
         ("[hybrid]\nwarmup_fes = 10\nstagnation_window = 10\n",
          r"\[hybrid\] warmup_fes must exceed stagnation_window"),
         ("[hybrid]\nwindow = 3\n", r"unknown key 'window' in \[hybrid\]"),
+        ("[experiment]\nfixed_folds = maybe\n",
+         r"\[experiment\] fixed_folds: cannot parse 'maybe' as bool"),
+        ("[experiment]\nruns = two\n", r"\[experiment\] runs: cannot parse 'two' as int"),
+        ("[dataset:b]\npath = b.csv\nheader = sure\n",
+         r"\[dataset:b\] header: cannot parse 'sure' as bool"),
     ]:
         ini.write_text(body + f"[dataset:a]\npath = {pa}\n")
         with pytest.raises(ConfigError, match=re.escape(str(ini)) + ": " + where):
@@ -158,8 +245,6 @@ def test_validate_catches_bad_matrices(corpus):
         validate(small_cfg(pa, folds=1))
     with pytest.raises(ConfigError, match="unknown continuation engine"):
         validate(small_cfg(pa, algorithms=("sfe_ec:annealing",)))
-    with pytest.raises(ConfigError, match=r"\[hybrid\] warmup_fes must exceed"):
-        validate(small_cfg(pa, warmup_fes=10, stagnation_window=10))
     validate(small_cfg(pa, algorithms=("sfe_ec:identity",)))  # engine names resolve
 
 
@@ -391,6 +476,16 @@ def test_cli_adhoc_csv_dataset(corpus, tmp_path, capsys):
                  "--dataset", str(extra)]) == 0
     payload = json.loads(open(os.path.join(out, "report.json")).read())
     assert payload["datasets"] == ["extra"]
+
+    # load_csv strips the header cells, so the label name is stripped too
+    headed = tmp_path / "headed.csv"
+    body = open(write_dataset_csv(headed, blob_dataset(20, 6, seed=9), label_last=False)).read()
+    headed.write_text("cls," + ",".join(f"f{j}" for j in range(6)) + "\n" + body)
+    out = str(tmp_path / "out_headed")
+    assert main(["run", "--config", ini, "--out", out, "--algo", "sfe", "--runs", "1",
+                 "--dataset", str(headed), "--header", "--label-col", " cls"]) == 0
+    config = load_config(os.path.join(out, "config.ini"))
+    assert config.datasets == (DatasetSpec("headed", str(headed), "cls", True),)
 
 
 def test_cli_error_paths(corpus, tmp_path, capsys):
