@@ -15,7 +15,7 @@ from .dataset import (
     stratified_kfold,
     subset_columns,
 )
-from .fitness import BudgetExhausted, FitnessEvaluator, knn_predict
+from .fitness import BudgetExhausted, FitnessEvaluator
 from .harness import (
     ExperimentReport,
     RunResult,
@@ -29,7 +29,6 @@ from .hybrid import (
     EngineContractError,
     HybridParams,
     hillclimb_engine,
-    identity_engine,
     make_pso_engine,
     resolve_algorithm,
     resolve_engine,
@@ -77,8 +76,6 @@ __all__ = [
     "format_report",
     "friedman_mean_ranks",
     "hillclimb_engine",
-    "identity_engine",
-    "knn_predict",
     "load_config",
     "load_csv",
     "load_runs",

@@ -108,6 +108,11 @@ def _section_keys(cls, skip=()):
             if f.default is not dataclasses.MISSING and f.name not in skip}
 
 
+# Keys that older snapshots hold but no field reads, each with the one value
+# that the current code reproduces. Any other value is refused.
+_RETIRED = {("sfe", "ur_denominator"): "max_fes"}
+
+
 def _read_section(parser, section, cls, where, **given):
     """Build ``cls`` from an INI section; ``given`` fills the fields that
     are not keys of the section. A missing section gives the defaults."""
@@ -115,6 +120,12 @@ def _read_section(parser, section, cls, where, **given):
     kwargs = dict(given)
     if parser.has_section(section):
         for key, raw in parser.items(section):
+            kept = _RETIRED.get((section, key))
+            if kept is not None:
+                if raw != kept:
+                    raise ConfigError(f"{where}: [{section}] {key}: {raw!r} is no "
+                                      f"longer supported; only {kept!r} is")
+                continue
             if key not in kinds:
                 raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
             kwargs[key] = _parse_value(raw, kinds[key], where, section, key)
@@ -174,6 +185,10 @@ def load_config(path: str, check_files: bool = True) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
+    if parser.defaults():
+        # configparser would merge these keys into every section.
+        raise ConfigError(f"{path}: [DEFAULT] is not supported; "
+                          "write each key in its own section")
     base = os.path.dirname(os.path.abspath(path))
 
     datasets = []

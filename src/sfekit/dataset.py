@@ -232,12 +232,16 @@ def stratified_kfold(ds: Dataset, k: int, seed) -> FoldAssignment:
     Within each class the instances are shuffled by a generator seeded only
     with ``seed`` and dealt round-robin to folds 0..k-1, so per-class fold
     sizes differ by at most one and the split is reproducible from
-    (dataset, k, seed) alone.
+    (dataset, k, seed) alone. Fold k-1 gets a member only from a class of
+    at least k instances, so a smaller largest class is an error.
     """
     if k < 2:
         raise DatasetError("k must be at least 2")
-    if k > ds.n_instances:
-        raise DatasetError(f"k={k} exceeds the number of instances ({ds.n_instances})")
+    largest = int(np.bincount(ds.y).max())
+    if k > largest:
+        raise DatasetError(
+            f"k={k} exceeds the largest class ({largest} instances); folds would be empty"
+        )
     rng = np.random.default_rng(seed)
     fold = np.empty(ds.n_instances, dtype=np.int64)
     for c in range(ds.n_classes):

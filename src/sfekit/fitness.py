@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataset import Dataset, FoldAssignment
 
-__all__ = ["BudgetExhausted", "FitnessEvaluator", "knn_predict"]
+__all__ = ["BudgetExhausted", "FitnessEvaluator"]
 
 # Cap on the element count of one broadcast distance block.
 _CHUNK_ELEMS = 16_000_000
@@ -52,6 +52,12 @@ def _vote(ordered_labels: np.ndarray) -> int:
 
 
 def _predict(test_X, train_X, train_y, k: int) -> np.ndarray:
+    """Class of each test row by k-nearest-neighbour vote.
+
+    Euclidean distance on the raw values. Ties are deterministic: among
+    equidistant rows the lower training index ranks first, and a split vote
+    goes to the class of the nearest (then lowest-index) tied neighbour.
+    """
     d2 = _sq_dists(test_X, train_X)
     if k == 1:
         # argmin takes the first minimum, i.e. the lowest training index.
@@ -60,27 +66,6 @@ def _predict(test_X, train_X, train_y, k: int) -> np.ndarray:
     return np.fromiter(
         (_vote(train_y[row]) for row in order), dtype=np.int64, count=len(order)
     )
-
-
-def knn_predict(train_x, train_y, query, k: int = 1) -> int:
-    """Predict the class of one query row by k-nearest-neighbour vote.
-
-    Euclidean distance on the raw values. Ties are deterministic: among
-    equidistant rows the lower training index ranks first, and a split vote
-    goes to the class of the nearest (then lowest-index) tied neighbour.
-    """
-    train_x = np.asarray(train_x, dtype=np.float64)
-    train_y = np.asarray(train_y, dtype=np.int64)
-    query = np.asarray(query, dtype=np.float64)
-    if train_x.ndim != 2 or train_x.shape[0] == 0:
-        raise ValueError("training set must be a non-empty 2-D matrix")
-    if train_y.shape != (train_x.shape[0],):
-        raise ValueError("train_y must have one label per training row")
-    if query.shape != (train_x.shape[1],):
-        raise ValueError("query dimensionality does not match the training set")
-    if not 1 <= k <= train_x.shape[0]:
-        raise ValueError(f"k={k} must be in [1, {train_x.shape[0]}]")
-    return int(_predict(query[None, :], train_x, train_y, k)[0])
 
 
 class FitnessEvaluator:

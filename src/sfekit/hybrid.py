@@ -28,7 +28,6 @@ __all__ = [
     "stagnation_check",
     "sfe_ec_search",
     "sfe_pso_search",
-    "identity_engine",
     "hillclimb_engine",
     "make_pso_engine",
     "resolve_engine",
@@ -184,14 +183,6 @@ def sfe_pso_search(
     return sfe_ec_search(ds, ev, engine, params, seed, min_continuation_budget=floor)
 
 
-def identity_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
-    """Continuation that returns the seed mask untouched, spending nothing."""
-    trace = SearchTrace()
-    trace.final_mask = np.asarray(seed_mask, dtype=np.int8).copy()
-    trace.final_fitness = float("nan")
-    return trace
-
-
 def hillclimb_engine(reduced_ds, ev, seed_mask, rng, restart_after: int = 50) -> SearchTrace:
     """Single-bit-flip hill climber with random restarts.
 
@@ -247,16 +238,13 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng, restart_after: int = 50) ->
 def resolve_engine(name: str, params: HybridParams):
     """Look up a continuation engine by name.
 
-    Returns (engine, min_continuation_budget). Names: "pso", "identity",
-    "hillclimb".
+    Returns (engine, min_continuation_budget). Names: "pso", "hillclimb".
     """
     if name == "pso":
         return make_pso_engine(params.pso), params.pso.pop_size
-    if name == "identity":
-        return identity_engine, 0
     if name == "hillclimb":
         return hillclimb_engine, 1
-    raise ValueError(f"unknown continuation engine {name!r}; known: pso, identity, hillclimb")
+    raise ValueError(f"unknown continuation engine {name!r}; known: pso, hillclimb")
 
 
 def resolve_algorithm(name: str, params: HybridParams):

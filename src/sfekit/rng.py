@@ -6,8 +6,6 @@ import hashlib
 
 import numpy as np
 
-SeedLike = "int | np.random.Generator | None"
-
 
 def as_generator(seed) -> np.random.Generator:
     """Return a numpy Generator for ``seed``.

@@ -43,11 +43,6 @@ class SfeParams:
         "random_fraction" draws it as a random fraction of the dimension.
     rf_n : int
         Divisor cap for the random_fraction policy.
-    ur_denominator : str
-        "max_fes" anneals over the whole budget (the default). "fes"
-        divides by the evaluations spent so far instead, clamped to
-        [ur_min, ur_max]; provided for compatibility with runs tuned
-        against that variant.
     """
 
     ur_max: float = 0.3
@@ -55,7 +50,6 @@ class SfeParams:
     sn: int = 1
     un_policy: str = "linear_schedule"
     rf_n: int = 20
-    ur_denominator: str = "max_fes"
 
     def __post_init__(self):
         if not 0.0 <= self.ur_min <= self.ur_max <= 1.0:
@@ -66,8 +60,6 @@ class SfeParams:
             raise ValueError(f"unknown un_policy {self.un_policy!r}")
         if self.rf_n < 1:
             raise ValueError("rf_n must be at least 1")
-        if self.ur_denominator not in ("max_fes", "fes"):
-            raise ValueError(f"unknown ur_denominator {self.ur_denominator!r}")
 
 
 def ur_schedule(params: SfeParams, fes: int, max_fes: int) -> float:
@@ -79,13 +71,7 @@ def ur_schedule(params: SfeParams, fes: int, max_fes: int) -> float:
         raise ValueError("max_fes must be positive")
     if fes < 0:
         raise ValueError("fes must be non-negative")
-    span = params.ur_max - params.ur_min
-    if params.ur_denominator == "fes":
-        if fes == 0:
-            return params.ur_max
-        ur = span * ((max_fes - fes) / fes) + params.ur_min
-        return min(params.ur_max, max(params.ur_min, ur))
-    return span * ((max_fes - fes) / max_fes) + params.ur_min
+    return (params.ur_max - params.ur_min) * ((max_fes - fes) / max_fes) + params.ur_min
 
 
 def compute_un(params: SfeParams, ur: float, nvar: int, rng=None) -> int:

@@ -176,6 +176,22 @@ def test_kfold_errors():
         stratified_kfold(lone, 2, seed=0)
 
 
+def test_kfold_refuses_more_folds_than_the_largest_class():
+    # two classes of 3: dealing each class round-robin from fold 0 would
+    # leave folds 3 and 4 empty, and an empty test fold has no accuracy
+    ds = Dataset(X=np.arange(6.0)[:, None], y=np.array([0, 1, 0, 1, 0, 1]),
+                 feature_ids=np.arange(1))
+    with pytest.raises(DatasetError, match=r"k=5 exceeds the largest class \(3 "):
+        stratified_kfold(ds, 5, seed=0)
+    folds = stratified_kfold(ds, 3, seed=0)
+    assert [folds.test_indices(f).size for f in range(3)] == [2, 2, 2]
+    # one class large enough is all it takes for every fold to get a row
+    skewed = Dataset(X=np.arange(7.0)[:, None], y=np.array([0, 0, 0, 0, 0, 1, 1]),
+                     feature_ids=np.arange(1))
+    folds = stratified_kfold(skewed, 5, seed=0)
+    assert all(folds.test_indices(f).size > 0 for f in range(5))
+
+
 # --------------------------------------------------------- subset_columns
 
 def test_subset_identity_mask():

@@ -7,10 +7,10 @@ from sfekit import (
     BudgetExhausted,
     Dataset,
     FitnessEvaluator,
-    knn_predict,
     stratified_kfold,
     subset_columns,
 )
+from sfekit.fitness import _predict
 
 from util import blob_dataset, constant_dataset, keyed_dataset
 
@@ -55,7 +55,14 @@ def oracle_cv_accuracy(ds, fold_of, k_folds, mask, knn_k=1, fold_mean=False):
     return 100.0 * correct_total / ds.n_instances
 
 
-# ------------------------------------------------------------- knn_predict
+# ---------------------------------------------------------------- _predict
+
+def knn_predict(train_x, train_y, query, k=1):
+    """The evaluator's k-NN kernel on a single query row."""
+    train_x = np.asarray(train_x, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    return int(_predict(query[None, :], train_x, np.asarray(train_y), k)[0])
+
 
 def test_knn_matches_oracle_randomized():
     rng = np.random.default_rng(0)
@@ -64,11 +71,12 @@ def test_knn_matches_oracle_randomized():
         d = int(rng.integers(1, 6))
         train = rng.integers(0, 5, size=(n, d)).astype(float)  # ints force ties
         labels = rng.integers(0, 3, size=n)
-        query = rng.integers(0, 5, size=d).astype(float)
+        queries = rng.integers(0, 5, size=(4, d)).astype(float)
         k = int(rng.integers(1, n + 1))
-        assert knn_predict(train, labels, query, k) == oracle_predict(
-            train, labels, query, k
-        )
+        # one call over a block of queries, as the evaluator makes per fold
+        assert _predict(queries, train, labels, k).tolist() == [
+            oracle_predict(train, labels, q, k) for q in queries
+        ]
 
 
 def test_knn_equidistant_tie_prefers_lower_index():
@@ -105,19 +113,6 @@ def test_knn_exact_match_is_stable_under_duplicates():
         assert knn_predict(train, labels, q, 1) == labels[i]
         # appended duplicates sit at higher indices and cannot displace it
         assert knn_predict(extra, extra_labels, q, 1) == labels[i]
-
-
-def test_knn_errors():
-    train = np.ones((3, 2))
-    labels = np.array([0, 1, 0])
-    with pytest.raises(ValueError, match="k="):
-        knn_predict(train, labels, np.ones(2), k=4)
-    with pytest.raises(ValueError, match="k="):
-        knn_predict(train, labels, np.ones(2), k=0)
-    with pytest.raises(ValueError, match="dimensionality"):
-        knn_predict(train, labels, np.ones(3), k=1)
-    with pytest.raises(ValueError):
-        knn_predict(np.empty((0, 2)), np.empty(0, dtype=int), np.ones(2), k=1)
 
 
 # -------------------------------------------------------- FitnessEvaluator

@@ -153,11 +153,18 @@ def test_config_snapshot_golden(tmp_path):
     cfg = load_config(str(ini), check_files=False)
     assert cfg.algorithms == ("sfe", "bpso", "sfe_pso", "sfe_ec:hillclimb")
     assert (cfg.knn_k, cfg.workers, cfg.reference, cfg.fixed_folds) == (3, 2, "sfe", True)
-    assert cfg.hybrid.sfe.ur_denominator == "max_fes" and cfg.hybrid.pso.v_clamp == 4.0
+    assert cfg.hybrid.sfe.rf_n == 10 and cfg.hybrid.pso.v_clamp == 4.0
     assert cfg.datasets[1] == DatasetSpec("beta", "/data/beta.csv", "cls", True)
     back = tmp_path / "back.ini"
     write_config(cfg, str(back))
-    assert back.read_text() == GOLDEN_SNAPSHOT
+    # the retired [sfe] ur_denominator is read and ignored, and not written
+    assert back.read_text() == GOLDEN_SNAPSHOT.replace("ur_denominator = max_fes\n", "")
+
+    # a snapshot of the retired clearing schedule is refused, not rerun as another
+    ini.write_text(GOLDEN_SNAPSHOT.replace("ur_denominator = max_fes", "ur_denominator = fes"))
+    with pytest.raises(ConfigError, match=re.escape(str(ini)) +
+                       r": \[sfe\] ur_denominator: 'fes' is no longer supported"):
+        load_config(str(ini), check_files=False)
 
     # every default comes from the dataclasses
     ini.write_text("[dataset:a]\npath = a.csv\n")
@@ -223,6 +230,7 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
         ("[experiment]\nruns = two\n", r"\[experiment\] runs: cannot parse 'two' as int"),
         ("[dataset:b]\npath = b.csv\nheader = sure\n",
          r"\[dataset:b\] header: cannot parse 'sure' as bool"),
+        ("[DEFAULT]\nruns = 3\n", r"\[DEFAULT\] is not supported"),
     ]:
         ini.write_text(body + f"[dataset:a]\npath = {pa}\n")
         with pytest.raises(ConfigError, match=re.escape(str(ini)) + ": " + where):
@@ -243,9 +251,10 @@ def test_validate_catches_bad_matrices(corpus):
         validate(small_cfg(pa, reference="bpso", algorithms=("sfe",)))
     with pytest.raises(ConfigError, match="folds"):
         validate(small_cfg(pa, folds=1))
-    with pytest.raises(ConfigError, match="unknown continuation engine"):
-        validate(small_cfg(pa, algorithms=("sfe_ec:annealing",)))
-    validate(small_cfg(pa, algorithms=("sfe_ec:identity",)))  # engine names resolve
+    for engine in ("annealing", "identity"):
+        with pytest.raises(ConfigError, match="unknown continuation engine"):
+            validate(small_cfg(pa, algorithms=(f"sfe_ec:{engine}",)))
+    validate(small_cfg(pa, algorithms=("sfe_ec:hillclimb",)))  # engine names resolve
 
 
 # ---------------------------------------------------------------- running

@@ -9,7 +9,6 @@ from sfekit import (
     SearchTrace,
     SfeParams,
     hillclimb_engine,
-    identity_engine,
     make_pso_engine,
     pso_search,
     resolve_algorithm,
@@ -116,6 +115,12 @@ def test_combined_trace_is_continuous_and_never_dips():
 
 
 def test_identity_engine_returns_handoff_unchanged():
+    def identity_engine(reduced_ds, ev, seed_mask, rng):
+        # spends nothing, so the combined trace ends at the handoff
+        trace = SearchTrace()
+        trace.final_mask = seed_mask.copy()
+        return trace
+
     ds = constant_dataset(n=20, d=10)
     ev = make_ev(ds, budget=100)
     trace = sfe_ec_search(ds, ev, identity_engine, SMALL, seed=5)
@@ -248,10 +253,10 @@ def test_engine_may_not_overspend():
 def test_resolve_engine_names():
     params = HybridParams(pso=PsoParams(pop_size=7))
     _, pso_min = resolve_engine("pso", params)
-    _, id_min = resolve_engine("identity", params)
     _, hc_min = resolve_engine("hillclimb", params)
-    assert (pso_min, id_min, hc_min) == (7, 0, 1)
-    with pytest.raises(ValueError, match="unknown"):
-        resolve_engine("annealing", params)
+    assert (pso_min, hc_min) == (7, 1)
+    for name in ("annealing", "identity"):
+        with pytest.raises(ValueError, match="unknown continuation engine"):
+            resolve_engine(name, params)
     with pytest.raises(ValueError, match="unknown algorithm"):
         resolve_algorithm("genetic", params)

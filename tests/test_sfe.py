@@ -125,15 +125,6 @@ def test_ur_schedule_rejects_bad_budget():
         ur_schedule(SfeParams(), -1, 10)
 
 
-def test_ur_schedule_fes_denominator_variant():
-    p = SfeParams(ur_denominator="fes")
-    assert ur_schedule(p, 0, 6000) == 0.3  # clamped at the start
-    assert ur_schedule(p, 6000, 6000) == pytest.approx(0.001)
-    for f in (1, 10, 100, 3000, 5999):
-        v = ur_schedule(p, f, 6000)
-        assert p.ur_min <= v <= p.ur_max
-
-
 def test_compute_un_linear_examples():
     p = SfeParams()
     assert compute_un(p, 0.3, 20) == 6
@@ -157,8 +148,6 @@ def test_params_validation():
         SfeParams(sn=0)
     with pytest.raises(ValueError):
         SfeParams(un_policy="bogus")
-    with pytest.raises(ValueError):
-        SfeParams(ur_denominator="bogus")
 
 
 # --------------------------------------------------------------- the search
@@ -255,14 +244,6 @@ def test_search_with_random_fraction_policy():
     ev = make_ev(ds, budget=150)
     trace = sfe_search(ds, ev, SfeParams(un_policy="random_fraction"), seed=4)
     assert ev.used == 150
-    assert all(a <= b for a, b in zip(trace.best_fitness, trace.best_fitness[1:]))
-
-
-def test_search_with_fes_denominator_variant():
-    ds = blob_dataset(30, 20, seed=9)
-    ev = make_ev(ds, budget=100)
-    trace = sfe_search(ds, ev, SfeParams(ur_denominator="fes"), seed=4)
-    assert ev.used == 100
     assert all(a <= b for a, b in zip(trace.best_fitness, trace.best_fitness[1:]))
 
 
