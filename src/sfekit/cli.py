@@ -70,7 +70,8 @@ def _apply_overrides(cfg, args):
             if entry in by_name:
                 chosen.append(by_name[entry])
             elif os.path.isfile(entry):
-                name = os.path.splitext(os.path.basename(entry))[0]
+                # stripped as config.ini strips it, so report finds the runs
+                name = os.path.splitext(os.path.basename(entry))[0].strip()
                 chosen.append(DatasetSpec(
                     name=name,
                     path=os.path.abspath(entry),

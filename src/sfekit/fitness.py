@@ -38,19 +38,6 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vote(ordered_labels: np.ndarray) -> int:
-    # Labels arrive sorted by (distance, training index). Majority wins;
-    # vote ties go to the class seen earliest in that order.
-    counts = {}
-    for lab in ordered_labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    top = max(counts.values())
-    for lab in ordered_labels:
-        if counts[lab] == top:
-            return int(lab)
-    raise AssertionError("unreachable")
-
-
 def _predict(test_X, train_X, train_y, k: int) -> np.ndarray:
     """Class of each test row by k-nearest-neighbour vote.
 
@@ -62,10 +49,12 @@ def _predict(test_X, train_X, train_y, k: int) -> np.ndarray:
     if k == 1:
         # argmin takes the first minimum, i.e. the lowest training index.
         return train_y[np.argmin(d2, axis=1)]
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return np.fromiter(
-        (_vote(train_y[row]) for row in order), dtype=np.int64, count=len(order)
-    )
+    # Neighbour labels in (distance, training index) order; the earliest
+    # neighbour whose class has the top vote count wins.
+    labels = train_y[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    counts = (labels[:, :, None] == np.arange(train_y.max() + 1)).sum(axis=1)
+    votes = np.take_along_axis(counts, labels, axis=1)
+    return labels[np.arange(len(labels)), np.argmax(votes, axis=1)]
 
 
 class FitnessEvaluator:

@@ -1,15 +1,20 @@
 """Benchmark runner: executes the run matrix, persists raw results,
 aggregates report tables and exports convergence series.
 
-Every run is seeded from (master seed, algorithm, dataset, run index)
-through a stable hash, so the whole matrix is reproducible and any single
-run can be replayed in isolation. A failing run is recorded and skipped;
-it never takes the rest of the matrix down.
+`_matrix` alone decides which runs make up an experiment and where each is
+stored: `run_experiment` runs exactly those and `load_runs` reads exactly
+those back, so `run`, `report` and `converge` see the same runs. Every run
+is seeded from (master seed, algorithm, dataset, run index) through a
+stable hash, so the whole matrix is reproducible and any single run can be
+replayed in isolation. A matrix that no run could complete is refused
+before anything is written; a run that fails on its own is recorded and
+skipped, and never takes the rest of the matrix down.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import os
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DatasetSpec, ExperimentConfig, write_config
+from .config import ConfigError, DatasetSpec, ExperimentConfig, load_config, write_config
 from .dataset import Dataset, load_csv, stratified_kfold
 from .fitness import FitnessEvaluator
 from .hybrid import resolve_algorithm
@@ -131,10 +136,33 @@ def _safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", name)
 
 
-def _run_path(out_dir: str, dataset: str, algorithm: str, run_index: int) -> str:
-    return os.path.join(
-        out_dir, "runs", _safe(dataset), _safe(algorithm), f"run_{run_index:04d}.jsonl"
-    )
+def _matrix(cfg: ExperimentConfig, out_dir: str) -> list:
+    """Every run of ``cfg`` as (run file, dataset, algorithm, run index, seed,
+    fold seed), in matrix order: datasets, then algorithms, then runs.
+
+    Fold seeds derive from the run seed, or from the dataset alone when
+    ``fixed_folds`` is set so every run shares one split. Two datasets
+    whose names map to one run file are refused.
+    """
+    runs, seeds, paths = [], {}, {}
+    for spec in cfg.datasets:
+        for algorithm in cfg.algorithms:
+            for r in range(cfg.runs):
+                key = (algorithm, spec.name, r)
+                seed = derive_seed(cfg.seed, *key)
+                if seeds.setdefault(seed, key) != key:
+                    raise RuntimeError(f"run seed collision between {seeds[seed]} and {key}")
+                path = os.path.join(out_dir, "runs", _safe(spec.name), _safe(algorithm),
+                                    f"run_{r:04d}.jsonl")
+                if paths.setdefault(path, spec.name) != spec.name:
+                    raise ConfigError(f"datasets {paths[path]!r} and {spec.name!r} share "
+                                      f"the run file {path}; rename one")
+                if cfg.fixed_folds:
+                    fold_seed = derive_seed(cfg.seed, spec.name, "folds")
+                else:
+                    fold_seed = derive_seed(seed, "folds")
+                runs.append((path, spec.name, algorithm, r, seed, fold_seed))
+    return runs
 
 
 def _record(kind: str, res: RunResult, **head) -> dict:
@@ -142,8 +170,7 @@ def _record(kind: str, res: RunResult, **head) -> dict:
             **{a.removeprefix("trace_"): getattr(res, a) for a in _RUN_RECORDS[kind]}}
 
 
-def _persist_run(out_dir: str, cfg: ExperimentConfig, res: RunResult) -> None:
-    path = _run_path(out_dir, res.dataset, res.algorithm, res.run_index)
+def _persist_run(path: str, cfg: ExperimentConfig, res: RunResult) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     meta = _record("meta", res, schema=_SCHEMA)
     meta.update(budget=cfg.budget, folds=cfg.folds, knn_k=cfg.knn_k,
@@ -158,53 +185,41 @@ def _persist_run(out_dir: str, cfg: ExperimentConfig, res: RunResult) -> None:
         fh.write(json.dumps(final) + "\n")
 
 
-def _load_dataset(spec: DatasetSpec) -> Dataset:
-    return load_csv(spec.path, label_col=spec.label_col, has_header=spec.has_header,
-                    name=spec.name)
+def _load_dataset(cfg: ExperimentConfig, spec: DatasetSpec) -> Dataset:
+    """Load one dataset and check that its runs can split it. Each class is
+    dealt round-robin to the folds, so fold sizes depend only on the class
+    counts, and one split decides for every fold seed."""
+    ds = load_csv(spec.path, label_col=spec.label_col, has_header=spec.has_header,
+                  name=spec.name)
+    try:
+        FitnessEvaluator(ds, stratified_kfold(ds, cfg.folds, 0), knn_k=cfg.knn_k)
+    except ValueError as exc:
+        raise ConfigError(f"dataset {spec.name!r}: {exc}") from None
+    return ds
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     """Execute the full run matrix and persist everything under ``out_dir``.
 
-    Per-run seeds are derived from (seed, algorithm, dataset, run index);
-    fold seeds additionally from the run seed, or from the dataset alone
-    when ``fixed_folds`` is set so every run shares one split. Runs
-    execute in a process pool when ``workers`` exceeds one; results are
-    aggregated in matrix order either way, so the report does not depend
-    on scheduling.
+    The matrix and its datasets are checked before anything is written.
+    Runs execute in a process pool when ``workers`` exceeds one; either way
+    each run file is written as soon as the run returns, in matrix order.
+    The report is then built from the persisted runs, as ``sfekit report``
+    builds it, so it does not depend on scheduling.
     """
+    matrix = _matrix(cfg, out_dir)
+    datasets = {spec.name: _load_dataset(cfg, spec) for spec in cfg.datasets}
     os.makedirs(out_dir, exist_ok=True)
     write_config(cfg, os.path.join(out_dir, "config.ini"))
 
-    datasets = [_load_dataset(spec) for spec in cfg.datasets]
+    tasks = [(algorithm, datasets[name], cfg, r, seed, fold_seed)
+             for _, name, algorithm, r, seed, fold_seed in matrix]
+    pool = concurrent.futures.ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
+    with pool or contextlib.nullcontext():
+        for (path, *_), res in zip(matrix, (pool.map if pool else map)(_run_cell, tasks)):
+            _persist_run(path, cfg, res)
 
-    tasks = []
-    seen_seeds = {}
-    for ds in datasets:
-        for algorithm in cfg.algorithms:
-            for r in range(cfg.runs):
-                seed = derive_seed(cfg.seed, algorithm, ds.name, r)
-                key = seen_seeds.get(seed)
-                if key is not None:
-                    raise RuntimeError(f"run seed collision between {key} and "
-                                       f"{(algorithm, ds.name, r)}")
-                seen_seeds[seed] = (algorithm, ds.name, r)
-                if cfg.fixed_folds:
-                    fold_seed = derive_seed(cfg.seed, ds.name, "folds")
-                else:
-                    fold_seed = derive_seed(seed, "folds")
-                tasks.append((algorithm, ds, cfg, r, seed, fold_seed))
-
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_cell, tasks))
-    else:
-        results = [_run_cell(t) for t in tasks]
-
-    for res in results:
-        _persist_run(out_dir, cfg, res)
-
-    report = build_report(cfg, results)
+    report = build_report(cfg, load_runs(out_dir))
     _write_report(out_dir, report)
     return report
 
@@ -356,46 +371,37 @@ def _write_report(out_dir: str, report: ExperimentReport) -> None:
 
 
 def load_runs(out_dir: str):
-    """Read every persisted run record back from an experiment directory."""
-    root = os.path.join(out_dir, "runs")
-    if not os.path.isdir(root):
-        raise FileNotFoundError(f"no runs directory under {out_dir}")
-    results = []
-    for dirpath, _, files in os.walk(root):
-        for fname in sorted(files):
-            if not fname.endswith(".jsonl"):
-                continue
-            path = os.path.join(dirpath, fname)
-            records = {}
-            with open(path) as fh:
-                for line in fh:
-                    rec = json.loads(line)
-                    records[rec.get("type")] = rec
-            if "meta" not in records or "final" not in records:
-                raise ValueError(f"{path}: incomplete run record")
-            res = RunResult(**{
-                a: records[kind][a.removeprefix("trace_")]
-                for kind, attrs in _RUN_RECORDS.items() if kind in records
-                for a in attrs
-            })
-            if res.accuracy is None:
-                res.accuracy = float("nan")
-            results.append(res)
-    results.sort(key=lambda r: (r.dataset, r.algorithm, r.run_index))
-    return results
+    """Read back the runs that the experiment's ``config.ini`` names, in
+    matrix order.
 
-
-def _step_fill(row: np.ndarray) -> np.ndarray:
-    """Carry recorded values across NaN gaps as a step function.
-
-    Best-so-far series are constant between evaluations, so holding the
-    previous value is exact; a leading gap holds the first value.
+    Files under ``runs/`` that the matrix does not name are ignored. A
+    missing or incomplete run file, or a trace that is not one entry per
+    evaluation ``1..n``, is an error that names the file.
     """
-    pos = np.flatnonzero(~np.isnan(row))
-    if pos.size == 0:
-        return row
-    j = np.searchsorted(pos, np.arange(row.size), side="right") - 1
-    return row[pos[np.clip(j, 0, None)]]
+    cfg = load_config(os.path.join(out_dir, "config.ini"), check_files=False)
+    results = []
+    for path, *_ in _matrix(cfg, out_dir):
+        records = {}
+        with open(path) as fh:
+            for line in fh:
+                rec = json.loads(line)
+                records[rec.get("type")] = rec
+        if "meta" not in records or "final" not in records:
+            raise ValueError(f"{path}: incomplete run record")
+        res = RunResult(**{
+            a: records[kind][a.removeprefix("trace_")]
+            for kind, attrs in _RUN_RECORDS.items() if kind in records
+            for a in attrs
+        })
+        n = len(res.trace_fes)
+        if (res.trace_fes != list(range(1, n + 1))
+                or len(res.trace_best) != n or len(res.trace_nsel) != n):
+            raise ValueError(f"{path}: the trace must hold fes 1..{n} with one "
+                             "best and one nsel value each")
+        if res.accuracy is None:
+            res.accuracy = float("nan")
+        results.append(res)
+    return results
 
 
 def emit_convergence(out_dir: str, dest_dir: str) -> list:
@@ -414,15 +420,11 @@ def emit_convergence(out_dir: str, dest_dir: str) -> list:
     os.makedirs(dest_dir, exist_ok=True)
     written = []
     for (dataset, algorithm), group in sorted(groups.items()):
-        horizon = max(r.trace_fes[-1] for r in group)
-        best = np.full((len(group), horizon), np.nan)
-        nsel = np.full((len(group), horizon), np.nan)
-        for i, r in enumerate(group):
-            idx = np.asarray(r.trace_fes, dtype=np.int64) - 1
-            best[i, idx] = r.trace_best
-            nsel[i, idx] = r.trace_nsel
-            best[i] = _step_fill(best[i])
-            nsel[i] = _step_fill(nsel[i])
+        horizon = max(len(r.trace_fes) for r in group)
+        best = np.array([r.trace_best + r.trace_best[-1:] * (horizon - len(r.trace_best))
+                         for r in group], dtype=np.float64)
+        nsel = np.array([r.trace_nsel + r.trace_nsel[-1:] * (horizon - len(r.trace_nsel))
+                         for r in group], dtype=np.float64)
         path = os.path.join(dest_dir, f"{_safe(dataset)}__{_safe(algorithm)}.csv")
         with open(path, "w") as fh:
             fh.write("fes,mean_best_accuracy,mean_selected\n")

@@ -57,6 +57,11 @@ def small_cfg(*paths, **over):
     return ExperimentConfig(**base)
 
 
+# bpso spends whole waves of particles, so a budget of 15 cannot pay for one
+SHORT_OF_ONE_WAVE = HybridParams(warmup_fes=30, stagnation_window=10,
+                                 pso=PsoParams(pop_size=20))
+
+
 def strip_timing(obj):
     if isinstance(obj, dict):
         return {
@@ -311,16 +316,25 @@ def test_run_jsonl_records_meta_trace_final(corpus, tmp_path):
     assert final["type"] == "final" and final["ok"]
     assert final["n_selected"] == len(final["selected_features"])
 
-    # k above the training split size fails the run: meta and final, no trace
+    # a budget short of one particle wave fails the run: meta and final, no trace
     bad = tmp_path / "bad"
-    run_experiment(small_cfg(pa, algorithms=("sfe",), runs=1, knn_k=25), str(bad))
-    lines = (bad / "runs" / "alpha" / "sfe" / "run_0000.jsonl").read_text().splitlines()
+    run_experiment(small_cfg(pa, algorithms=("bpso",), runs=1, budget=15,
+                             hybrid=SHORT_OF_ONE_WAVE), str(bad))
+    lines = (bad / "runs" / "alpha" / "bpso" / "run_0000.jsonl").read_text().splitlines()
     assert [json.loads(x)["type"] for x in lines] == ["meta", "final"]
     assert '"accuracy": null' in lines[1]
     final = json.loads(lines[1])
-    assert not final["ok"] and final["error"].startswith("ValueError: knn_k=25")
+    assert not final["ok"] and final["error"].startswith(
+        "ValueError: budget remainder 15 cannot cover one wave of 20 particles")
     (res,) = load_runs(str(bad))
     assert not res.ok and np.isnan(res.accuracy) and res.trace_fes == []
+
+    # k above the training split size fits no run: the matrix is refused unwritten
+    infeasible = tmp_path / "infeasible"
+    with pytest.raises(ConfigError, match=r"^dataset 'alpha': knn_k=25 exceeds the "
+                                          r"smallest training split \(18\)$"):
+        run_experiment(small_cfg(pa, algorithms=("sfe",), runs=1, knn_k=25), str(infeasible))
+    assert not infeasible.exists()
 
 
 def test_rerun_is_identical_except_timing(corpus, tmp_path):
@@ -375,24 +389,68 @@ def test_fold_seed_policy(corpus, tmp_path):
     assert len(set(shared)) == 1
 
 
-def test_failed_runs_are_recorded_not_fatal(tmp_path):
-    # a single-instance class makes the CV split impossible for every run
+def test_failed_runs_are_recorded_not_fatal(corpus, tmp_path):
+    # every bpso run fails on its own; the sfe runs beside them complete
+    _, pa, pb = corpus
+    cfg = small_cfg(pa, pb, algorithms=("sfe", "bpso"), budget=15, hybrid=SHORT_OF_ONE_WAVE)
+    out = tmp_path / "out"
+    report = run_experiment(cfg, str(out))
+    assert len(report.failures) == 4  # bpso on 2 datasets x 2 runs
+    assert all("budget remainder 15 cannot cover one wave of 20 particles" in f["error"]
+               for f in report.failures)
+    for (algorithm, _), stats in report.cells.items():
+        if algorithm == "bpso":
+            assert stats.n_runs == 0 and stats.n_failed == 2
+            assert np.isnan(stats.mean)
+        else:
+            assert stats.n_runs == 2 and stats.n_failed == 0
+    assert report.friedman == {} and report.marks == {}
+    # the failure is visible in the persisted record and the text report
+    rec = (out / "runs" / "alpha" / "bpso" / "run_0000.jsonl").read_text()
+    assert '"ok": false' in rec
+    assert "failed run(s)" in format_report(report)
+
+    # a single-instance class makes the CV split impossible for every run,
+    # so the matrix is refused once, before anything is written
     rows = ["1.0,2.0,0", "2.0,1.0,0", "3.0,4.0,0", "4.0,3.0,0", "5.0,6.0,1"]
     csv = tmp_path / "lonely.csv"
     csv.write_text("\n".join(rows) + "\n")
-    cfg = small_cfg(str(csv), algorithms=("sfe", "bpso"), folds=2, budget=20)
+    out = tmp_path / "lonely"
+    with pytest.raises(ConfigError, match="^dataset 'lonely': class 1 has a single instance"):
+        run_experiment(small_cfg(str(csv), algorithms=("sfe", "bpso"), folds=2, budget=20),
+                       str(out))
+    assert not out.exists()
+
+
+def test_dataset_names_sharing_a_run_file_are_refused(corpus, tmp_path):
+    _, pa, pb = corpus
+    cfg = small_cfg(algorithms=("sfe",), runs=1, budget=20,
+                    datasets=(DatasetSpec("x y", pa), DatasetSpec("x-y", pb)))
     out = tmp_path / "out"
-    report = run_experiment(cfg, str(out))
-    assert len(report.failures) == 4  # 2 algorithms x 2 runs
-    assert all("single instance" in f["error"] for f in report.failures)
-    for stats in report.cells.values():
-        assert stats.n_runs == 0 and stats.n_failed == 2
-        assert np.isnan(stats.mean)
-    assert report.friedman == {} and report.marks == {}
-    # the failure is visible in the persisted record and the text report
-    rec = (out / "runs" / "lonely" / "sfe" / "run_0000.jsonl").read_text()
-    assert '"ok": false' in rec
-    assert "failed run(s)" in format_report(report)
+    with pytest.raises(ConfigError, match=r"^datasets 'x y' and 'x-y' share the run file "
+                                          r".*run_0000\.jsonl; rename one$"):
+        run_experiment(cfg, str(out))
+    assert not out.exists()
+
+
+def test_load_runs_refuses_bad_run_files(corpus, tmp_path):
+    _, pa, _ = corpus
+    out = tmp_path / "out"
+    run_experiment(small_cfg(pa, algorithms=("sfe",), runs=2, budget=20), str(out))
+    path = out / "runs" / "alpha" / "sfe" / "run_0001.jsonl"
+    meta, trace, final = path.read_text().splitlines()
+    full = json.loads(trace)
+    gap = {k: (v if k == "type" else v[:5] + v[6:]) for k, v in full.items()}
+    short = dict(full, nsel=full["nsel"][:-1])
+    for bad in (gap, short):
+        path.write_text("\n".join([meta, json.dumps(bad), final]) + "\n")
+        for read in (lambda: load_runs(str(out)),
+                     lambda: emit_convergence(str(out), str(tmp_path / "curves"))):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: the trace must hold fes")):
+                read()
+    path.unlink()
+    with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+        load_runs(str(out))
 
 
 # ------------------------------------------------------------- convergence
@@ -486,6 +544,15 @@ def test_cli_adhoc_csv_dataset(corpus, tmp_path, capsys):
     payload = json.loads(open(os.path.join(out, "report.json")).read())
     assert payload["datasets"] == ["extra"]
 
+    # config.ini strips section names, so the ad-hoc name is stripped as well
+    write_dataset_csv(tmp_path / " padded.csv", blob_dataset(20, 6, seed=9))
+    out = str(tmp_path / "out_padded")
+    assert main(["run", "--config", ini, "--out", out, "--algo", "sfe", "--runs", "1",
+                 "--dataset", str(tmp_path / " padded.csv")]) == 0
+    capsys.readouterr()
+    assert main(["report", out]) == 0
+    assert re.search(r"^padded +sfe +1 ", capsys.readouterr().out, re.M)
+
     # load_csv strips the header cells, so the label name is stripped too
     headed = tmp_path / "headed.csv"
     body = open(write_dataset_csv(headed, blob_dataset(20, 6, seed=9), label_last=False)).read()
@@ -508,16 +575,51 @@ def test_cli_error_paths(corpus, tmp_path, capsys):
                  str(tmp_path / "o"), "--dataset", "nosuchname"]) == 2
 
 
-def test_cli_failure_exit_code(tmp_path, capsys):
-    rows = ["1.0,2.0,0", "2.0,1.0,0", "3.0,4.0,0", "4.0,3.0,0", "5.0,6.0,1"]
-    csv = tmp_path / "lonely.csv"
-    csv.write_text("\n".join(rows) + "\n")
+def test_cli_failure_exit_code(corpus, tmp_path, capsys):
+    _, pa, _ = corpus
     ini = tmp_path / "exp.ini"
+    ini.write_text(
+        "[experiment]\nalgorithms = bpso\nruns = 1\nbudget = 15\nfolds = 2\n"
+        "[pso]\npop_size = 20\n"
+        f"[dataset:alpha]\npath = {pa}\n"
+    )
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+
+    # a split that no run can make is a configuration error, and writes nothing
+    rows = ["1.0,2.0,0", "2.0,1.0,0", "3.0,4.0,0", "4.0,3.0,0", "5.0,6.0,1"]
+    (tmp_path / "lonely.csv").write_text("\n".join(rows) + "\n")
     ini.write_text(
         "[experiment]\nalgorithms = sfe\nruns = 1\nbudget = 10\nfolds = 2\n"
         "[dataset:lonely]\npath = lonely.csv\n"
     )
-    assert main(["run", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path / "lonely")]) == 2
+    assert "dataset 'lonely': class 1 has a single instance" in capsys.readouterr().err
+    assert not (tmp_path / "lonely").exists()
+
+
+def test_cli_report_and_converge_read_only_the_configured_runs(corpus, tmp_path, capsys):
+    root, pa, pb = corpus
+    ini = write_ini(root, pa, pb)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", ini, "--out", out, "--runs", "3"]) == 0
+    assert main(["run", "--config", ini, "--out", out, "--force",
+                 "--runs", "2", "--algo", "sfe"]) == 0
+    capsys.readouterr()
+    # the first matrix's run files stay on disk, but the snapshot no longer names them
+    assert os.path.isfile(os.path.join(out, "runs", "alpha", "sfe", "run_0002.jsonl"))
+    assert os.path.isfile(os.path.join(out, "runs", "alpha", "bpso", "run_0000.jsonl"))
+
+    assert main(["report", out]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (tmp_path / "out" / "report.txt").read_text()
+    assert "bpso" not in printed
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["cells"]["sfe"]["alpha"]["n_runs"] == 2
+
+    dest = str(tmp_path / "curves")
+    assert main(["converge", out, "--out", dest]) == 0
+    assert sorted(os.listdir(dest)) == ["alpha__sfe.csv", "beta__sfe.csv"]
 
 
 def test_cli_default_out_dir_env(corpus, tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
-"""Property tests: budget, trace and handoff invariants of every search.
+"""Property tests: budget, trace and handoff invariants of every search,
+and the k-NN vote against its straight-line oracle.
 
-Each example draws a small dataset, a budget and the trigger settings, runs
-one registered search name and checks what every run must satisfy whatever
-the data: the trace has one entry per charged evaluation, the budget is
-spent (whole particle waves for the swarm searches), the best-so-far series
-never falls, and a handoff never comes inside the warm-up.
+Each search example draws a small dataset, a budget and the trigger
+settings, runs one registered search name and checks what every run must
+satisfy whatever the data: the trace has one entry per charged evaluation,
+the budget is spent (whole particle waves for the swarm searches), the
+best-so-far series never falls, and a handoff never comes inside the
+warm-up.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sfekit import (
     FitnessEvaluator,
@@ -20,7 +23,9 @@ from sfekit import (
     resolve_algorithm,
     stratified_kfold,
 )
+from sfekit.fitness import _predict
 
+from test_fitness import oracle_predict
 from util import blob_dataset
 
 # Every name resolve_algorithm accepts, with whether it spends the budget
@@ -77,3 +82,26 @@ def test_budget_trace_and_handoff_invariants(name, run):
         assert params.warmup_fes < trace.handoff_fes < ev.used
         # the continuation searched only the columns frozen at the handoff
         assert set(np.flatnonzero(trace.final_mask)) <= set(np.flatnonzero(trace.handoff_mask))
+
+
+@st.composite
+def knn_queries(draw):
+    # small integer values, so distances and split votes tie often; 3 to 5 classes
+    n = draw(st.integers(3, 12))
+    d = draw(st.integers(1, 3))
+    values = st.integers(0, 3).map(float)
+    return dict(
+        train=draw(arrays(np.float64, (n, d), elements=values)),
+        labels=draw(arrays(np.int64, n, elements=st.integers(0, draw(st.integers(2, 4))))),
+        queries=draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=values)),
+        k=draw(st.integers(2, n)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=knn_queries())
+def test_knn_vote_matches_oracle(q):
+    train, labels = q["train"], q["labels"]
+    assert _predict(q["queries"], train, labels, q["k"]).tolist() == [
+        oracle_predict(train, labels, row, q["k"]) for row in q["queries"]
+    ]
