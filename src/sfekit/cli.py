@@ -7,7 +7,7 @@ import dataclasses
 import os
 import sys
 
-from .config import ConfigError, DatasetSpec, _parse_label_col, load_config, validate
+from .config import ConfigError, DatasetSpec, _parse_label_col, load_config
 from .harness import build_report, emit_convergence, format_report, load_runs, run_experiment
 
 _OUT_ROOT_ENV = "SFEKIT_OUT"
@@ -83,11 +83,7 @@ def _apply_overrides(cfg, args):
                     f"--dataset {entry!r} is neither a configured name nor a CSV file"
                 )
         updates["datasets"] = tuple(chosen)
-    if not updates:
-        return cfg
-    cfg = dataclasses.replace(cfg, **updates)
-    validate(cfg)
-    return cfg
+    return dataclasses.replace(cfg, **updates)
 
 
 def _default_out_dir(config_path: str) -> str:
@@ -112,8 +108,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg = load_config(os.path.join(args.experiment_dir, "config.ini"),
-                      check_files=False)
+    cfg = load_config(os.path.join(args.experiment_dir, "config.ini"))
     results = load_runs(args.experiment_dir)
     report = build_report(cfg, results)
     print(format_report(report), end="")

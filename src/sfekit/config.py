@@ -35,9 +35,10 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment matrix. The fields with a plain default, apart from
-    ``datasets``, are the ``[experiment]`` keys of the INI file; ``out`` is
-    read but not written to the snapshot."""
+    """One experiment matrix, checked when it is built; the dataset files
+    are checked where `run_experiment` opens them. The fields with a plain
+    default, apart from ``datasets``, are the ``[experiment]`` keys of the
+    INI file; ``out`` is read but not written to the snapshot."""
 
     algorithms: tuple = ("sfe",)
     datasets: tuple = ()
@@ -52,6 +53,29 @@ class ExperimentConfig:
     fold_mean: bool = False
     out: str = ""
     hybrid: HybridParams = field(default_factory=HybridParams)
+
+    def __post_init__(self):
+        if not self.algorithms:
+            raise ConfigError("no algorithms configured")
+        for algo in self.algorithms:
+            try:
+                resolve_algorithm(algo, self.hybrid)
+            except ValueError as exc:
+                raise ConfigError(f"algorithms: {exc}") from None
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigError("duplicate algorithm entries")
+        if not self.datasets:
+            raise ConfigError("no datasets configured")
+        names = [spec.name for spec in self.datasets]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"duplicate dataset name {name!r}")
+        for key, least in (("runs", 1), ("budget", 1), ("folds", 2), ("knn_k", 1),
+                           ("workers", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}")
+        if self.reference and self.reference not in self.algorithms:
+            raise ConfigError(f"reference {self.reference!r} is not among the algorithms")
 
     def pick_reference(self) -> str:
         if self.reference:
@@ -140,49 +164,19 @@ def _write_section(parser, section, obj, skip=()) -> None:
                        for key in _section_keys(type(obj), skip)}
 
 
-def validate(cfg: ExperimentConfig, check_files: bool = True) -> None:
-    if not cfg.algorithms:
-        raise ConfigError("no algorithms configured")
-    for algo in cfg.algorithms:
-        try:
-            resolve_algorithm(algo, cfg.hybrid)
-        except ValueError as exc:
-            raise ConfigError(f"[experiment] algorithms: {exc}") from None
-    if len(set(cfg.algorithms)) != len(cfg.algorithms):
-        raise ConfigError("duplicate algorithm entries")
-    if not cfg.datasets:
-        raise ConfigError("no datasets configured")
-    seen = set()
-    for spec in cfg.datasets:
-        if spec.name in seen:
-            raise ConfigError(f"duplicate dataset name {spec.name!r}")
-        seen.add(spec.name)
-        if check_files and not os.path.isfile(spec.path):
-            raise ConfigError(f"dataset {spec.name!r}: file not found: {spec.path}")
-    if cfg.runs < 1:
-        raise ConfigError("runs must be at least 1")
-    if cfg.budget < 1:
-        raise ConfigError("budget must be at least 1")
-    if cfg.folds < 2:
-        raise ConfigError("folds must be at least 2")
-    if cfg.knn_k < 1:
-        raise ConfigError("knn_k must be at least 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be at least 1")
-    if cfg.reference and cfg.reference not in cfg.algorithms:
-        raise ConfigError(f"reference {cfg.reference!r} is not among the algorithms")
-
-
-def load_config(path: str, check_files: bool = True) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
     """Read an experiment file and return a validated config.
 
-    Relative dataset paths are resolved against the file's directory.
-    ``check_files=False`` skips the dataset existence check, for reading
-    the config snapshot of a finished experiment whose inputs may have
-    moved.
+    Relative dataset paths are resolved against the file's directory. The
+    dataset files are not opened here; `run_experiment` opens those it runs.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # duplicate keys or sections, or a key before any section header
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"{path}: not a valid INI file: {detail}") from None
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
     if parser.defaults():
@@ -220,13 +214,8 @@ def load_config(path: str, check_files: bool = True) -> ExperimentConfig:
         sfe=_read_section(parser, "sfe", SfeParams, path),
         pso=_read_section(parser, "pso", PsoParams, path),
     )
-    cfg = _read_section(parser, "experiment", ExperimentConfig, path,
-                        datasets=tuple(datasets), hybrid=hybrid)
-    try:
-        validate(cfg, check_files=check_files)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return cfg
+    return _read_section(parser, "experiment", ExperimentConfig, path,
+                         datasets=tuple(datasets), hybrid=hybrid)
 
 
 def write_config(cfg: ExperimentConfig, path: str) -> None:

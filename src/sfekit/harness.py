@@ -13,6 +13,7 @@ skipped, and never takes the rest of the matrix down.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
 import dataclasses
@@ -98,20 +99,22 @@ class ExperimentReport:
     failures: list  # dicts with algorithm/dataset/run_index/seed/error
 
 
+# One run of the matrix, by the identity its meta record holds.
+_Run = collections.namedtuple("_Run", _RUN_RECORDS["meta"])
+
+
 def _run_cell(args) -> RunResult:
-    algorithm, ds, cfg, run_index, seed, fold_seed = args
-    ident = dict(algorithm=algorithm, dataset=ds.name, run_index=run_index,
-                 seed=seed, fold_seed=fold_seed)
+    ds, cfg, run = args
     t0 = time.perf_counter()
     try:
-        folds = stratified_kfold(ds, cfg.folds, fold_seed)
+        folds = stratified_kfold(ds, cfg.folds, run.fold_seed)
         ev = FitnessEvaluator(
             ds, folds, knn_k=cfg.knn_k, budget=cfg.budget, fold_mean=cfg.fold_mean
         )
-        trace = resolve_algorithm(algorithm, cfg.hybrid)(ds, ev, seed)
+        trace = resolve_algorithm(run.algorithm, cfg.hybrid)(ds, ev, run.seed)
     except Exception as exc:  # recorded, not fatal to the matrix
         return RunResult(
-            **ident,
+            **run._asdict(),
             ok=False,
             error=f"{type(exc).__name__}: {exc}",
             wall_time_s=time.perf_counter() - t0,
@@ -119,7 +122,7 @@ def _run_cell(args) -> RunResult:
     wall = time.perf_counter() - t0
     sel = ds.feature_ids[np.flatnonzero(trace.final_mask)]
     return RunResult(
-        **ident,
+        **run._asdict(),
         ok=True,
         accuracy=float(trace.final_fitness),
         n_selected=int(len(sel)),
@@ -137,8 +140,8 @@ def _safe(name: str) -> str:
 
 
 def _matrix(cfg: ExperimentConfig, out_dir: str) -> list:
-    """Every run of ``cfg`` as (run file, dataset, algorithm, run index, seed,
-    fold seed), in matrix order: datasets, then algorithms, then runs.
+    """Every run of ``cfg`` as (run file, `_Run`), in matrix order: datasets,
+    then algorithms, then runs.
 
     Fold seeds derive from the run seed, or from the dataset alone when
     ``fixed_folds`` is set so every run shares one split. Two datasets
@@ -161,7 +164,7 @@ def _matrix(cfg: ExperimentConfig, out_dir: str) -> list:
                     fold_seed = derive_seed(cfg.seed, spec.name, "folds")
                 else:
                     fold_seed = derive_seed(seed, "folds")
-                runs.append((path, spec.name, algorithm, r, seed, fold_seed))
+                runs.append((path, _Run(algorithm, spec.name, r, seed, fold_seed)))
     return runs
 
 
@@ -170,16 +173,19 @@ def _record(kind: str, res: RunResult, **head) -> dict:
             **{a.removeprefix("trace_"): getattr(res, a) for a in _RUN_RECORDS[kind]}}
 
 
+def _meta(cfg: ExperimentConfig, run) -> dict:
+    """The meta record of ``run``, a `_Run` or `RunResult` of ``cfg``."""
+    return _record("meta", run, schema=_SCHEMA) | dict(
+        budget=cfg.budget, folds=cfg.folds, knn_k=cfg.knn_k, fold_mean=cfg.fold_mean)
+
+
 def _persist_run(path: str, cfg: ExperimentConfig, res: RunResult) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    meta = _record("meta", res, schema=_SCHEMA)
-    meta.update(budget=cfg.budget, folds=cfg.folds, knn_k=cfg.knn_k,
-                fold_mean=cfg.fold_mean)
     final = _record("final", res)
     if not res.ok:
         final["accuracy"] = None  # a failed run's NaN is not valid JSON
     with open(path, "w") as fh:
-        fh.write(json.dumps(meta) + "\n")
+        fh.write(json.dumps(_meta(cfg, res)) + "\n")
         if res.ok:
             fh.write(json.dumps(_record("trace", res)) + "\n")
         fh.write(json.dumps(final) + "\n")
@@ -189,6 +195,8 @@ def _load_dataset(cfg: ExperimentConfig, spec: DatasetSpec) -> Dataset:
     """Load one dataset and check that its runs can split it. Each class is
     dealt round-robin to the folds, so fold sizes depend only on the class
     counts, and one split decides for every fold seed."""
+    if not os.path.isfile(spec.path):
+        raise ConfigError(f"dataset {spec.name!r}: file not found: {spec.path}")
     ds = load_csv(spec.path, label_col=spec.label_col, has_header=spec.has_header,
                   name=spec.name)
     try:
@@ -212,8 +220,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     os.makedirs(out_dir, exist_ok=True)
     write_config(cfg, os.path.join(out_dir, "config.ini"))
 
-    tasks = [(algorithm, datasets[name], cfg, r, seed, fold_seed)
-             for _, name, algorithm, r, seed, fold_seed in matrix]
+    tasks = [(datasets[run.dataset], cfg, run) for _, run in matrix]
     pool = concurrent.futures.ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
     with pool or contextlib.nullcontext():
         for (path, *_), res in zip(matrix, (pool.map if pool else map)(_run_cell, tasks)):
@@ -375,12 +382,13 @@ def load_runs(out_dir: str):
     matrix order.
 
     Files under ``runs/`` that the matrix does not name are ignored. A
-    missing or incomplete run file, or a trace that is not one entry per
-    evaluation ``1..n``, is an error that names the file.
+    missing or incomplete run file, one whose meta record differs from the
+    run that ``config.ini`` names there, or a trace that is not one entry
+    per evaluation ``1..n``, is an error that names the file.
     """
-    cfg = load_config(os.path.join(out_dir, "config.ini"), check_files=False)
+    cfg = load_config(os.path.join(out_dir, "config.ini"))
     results = []
-    for path, *_ in _matrix(cfg, out_dir):
+    for path, run in _matrix(cfg, out_dir):
         records = {}
         with open(path) as fh:
             for line in fh:
@@ -388,6 +396,11 @@ def load_runs(out_dir: str):
                 records[rec.get("type")] = rec
         if "meta" not in records or "final" not in records:
             raise ValueError(f"{path}: incomplete run record")
+        for key, want in _meta(cfg, run).items():
+            got = records["meta"].get(key)
+            if got != want:
+                raise ValueError(f"{path}: meta {key} is {got!r} but config.ini gives "
+                                 f"{want!r}; the file is from another experiment")
         res = RunResult(**{
             a: records[kind][a.removeprefix("trace_")]
             for kind, attrs in _RUN_RECORDS.items() if kind in records

@@ -25,7 +25,6 @@ from sfekit import (
     write_config,
 )
 from sfekit.cli import main
-from sfekit.config import validate
 from sfekit.harness import _report_to_json
 
 from util import blob_dataset, write_dataset_csv
@@ -155,7 +154,7 @@ header = false
 def test_config_snapshot_golden(tmp_path):
     ini = tmp_path / "config.ini"
     ini.write_text(GOLDEN_SNAPSHOT)
-    cfg = load_config(str(ini), check_files=False)
+    cfg = load_config(str(ini))
     assert cfg.algorithms == ("sfe", "bpso", "sfe_pso", "sfe_ec:hillclimb")
     assert (cfg.knn_k, cfg.workers, cfg.reference, cfg.fixed_folds) == (3, 2, "sfe", True)
     assert cfg.hybrid.sfe.rf_n == 10 and cfg.hybrid.pso.v_clamp == 4.0
@@ -169,12 +168,12 @@ def test_config_snapshot_golden(tmp_path):
     ini.write_text(GOLDEN_SNAPSHOT.replace("ur_denominator = max_fes", "ur_denominator = fes"))
     with pytest.raises(ConfigError, match=re.escape(str(ini)) +
                        r": \[sfe\] ur_denominator: 'fes' is no longer supported"):
-        load_config(str(ini), check_files=False)
+        load_config(str(ini))
 
     # every default comes from the dataclasses
     ini.write_text("[dataset:a]\npath = a.csv\n")
     spec = DatasetSpec("a", str(tmp_path / "a.csv"))
-    assert load_config(str(ini), check_files=False) == ExperimentConfig(datasets=(spec,))
+    assert load_config(str(ini)) == ExperimentConfig(datasets=(spec,))
 
 
 def test_readme_ini_example_loads(tmp_path):
@@ -182,7 +181,7 @@ def test_readme_ini_example_loads(tmp_path):
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     ini = tmp_path / "exp.ini"
     ini.write_text(block)
-    cfg = load_config(str(ini), check_files=False)
+    cfg = load_config(str(ini))
     assert cfg.out  # the example sets every [experiment] key, out too
     listed = set(re.findall(r"^(\w+) =", block.split("\n[", 1)[0], re.M))
     keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"datasets", "hybrid"}
@@ -236,30 +235,47 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
         ("[dataset:b]\npath = b.csv\nheader = sure\n",
          r"\[dataset:b\] header: cannot parse 'sure' as bool"),
         ("[DEFAULT]\nruns = 3\n", r"\[DEFAULT\] is not supported"),
+        ("[experiment]\nruns = 0\n", r"\[experiment\] runs must be at least 1"),
+        # malformed INI files are configuration errors, not tracebacks
+        ("[experiment]\nruns = 2\nruns = 3\n",
+         r"not a valid INI file: .*option 'runs' in section 'experiment' already exists"),
+        ("[dataset:a]\npath = a.csv\n",
+         r"not a valid INI file: .*section 'dataset:a' already exists"),
+        ("runs = 3\n", r"not a valid INI file: File contains no section headers"),
     ]:
         ini.write_text(body + f"[dataset:a]\npath = {pa}\n")
         with pytest.raises(ConfigError, match=re.escape(str(ini)) + ": " + where):
             load_config(str(ini))
 
 
-def test_validate_catches_bad_matrices(corpus):
+def test_validate_catches_bad_matrices(corpus, tmp_path):
     _, pa, _ = corpus
     with pytest.raises(ConfigError, match="unknown algorithm"):
-        validate(small_cfg(pa, algorithms=("sfe", "genetic")))
+        small_cfg(pa, algorithms=("sfe", "genetic"))
     with pytest.raises(ConfigError, match="duplicate algorithm"):
-        validate(small_cfg(pa, algorithms=("sfe", "sfe")))
+        small_cfg(pa, algorithms=("sfe", "sfe"))
     with pytest.raises(ConfigError, match="no datasets"):
-        validate(small_cfg())
-    with pytest.raises(ConfigError, match="not found"):
-        validate(small_cfg(pa + ".missing"))
+        small_cfg()
     with pytest.raises(ConfigError, match="reference"):
-        validate(small_cfg(pa, reference="bpso", algorithms=("sfe",)))
+        small_cfg(pa, reference="bpso", algorithms=("sfe",))
     with pytest.raises(ConfigError, match="folds"):
-        validate(small_cfg(pa, folds=1))
+        small_cfg(pa, folds=1)
     for engine in ("annealing", "identity"):
         with pytest.raises(ConfigError, match="unknown continuation engine"):
-            validate(small_cfg(pa, algorithms=(f"sfe_ec:{engine}",)))
-    validate(small_cfg(pa, algorithms=("sfe_ec:hillclimb",)))  # engine names resolve
+            small_cfg(pa, algorithms=(f"sfe_ec:{engine}",))
+    small_cfg(pa, algorithms=("sfe_ec:hillclimb",))  # engine names resolve
+    # refused when built, so no run can write config.ini or run files first
+    with pytest.raises(ConfigError, match="^runs must be at least 1$"):
+        small_cfg(pa, runs=0)
+    with pytest.raises(ConfigError, match="^budget must be at least 1$"):
+        dataclasses.replace(small_cfg(pa), budget=0)
+    # a missing dataset file is found where the run opens it, before any write
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="^dataset 'alpha': file not found: " +
+                       re.escape(pa + ".missing") + "$"):
+        run_experiment(small_cfg(pa, datasets=(DatasetSpec("alpha", pa + ".missing"),)),
+                       str(out))
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- running
@@ -575,6 +591,24 @@ def test_cli_error_paths(corpus, tmp_path, capsys):
                  str(tmp_path / "o"), "--dataset", "nosuchname"]) == 2
 
 
+def test_cli_runs_selected_datasets_while_another_file_is_missing(corpus, tmp_path, capsys):
+    root, pa, _ = corpus
+    ini = write_ini(root, pa)
+    with open(ini, "a") as fh:
+        fh.write("[dataset:gone]\npath = gone.csv\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", ini, "--out", out, "--runs", "1",
+                 "--dataset", "alpha"]) == 0
+    assert json.loads(open(os.path.join(out, "report.json")).read())["datasets"] == ["alpha"]
+    capsys.readouterr()
+    # the full matrix opens the missing file, and is refused before any write
+    whole = str(tmp_path / "whole")
+    assert main(["run", "--config", ini, "--out", whole, "--runs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: dataset 'gone': file not found: {os.path.join(root, 'gone.csv')}\n")
+    assert not os.path.exists(whole)
+
+
 def test_cli_failure_exit_code(corpus, tmp_path, capsys):
     _, pa, _ = corpus
     ini = tmp_path / "exp.ini"
@@ -620,6 +654,23 @@ def test_cli_report_and_converge_read_only_the_configured_runs(corpus, tmp_path,
     dest = str(tmp_path / "curves")
     assert main(["converge", out, "--out", dest]) == 0
     assert sorted(os.listdir(dest)) == ["alpha__sfe.csv", "beta__sfe.csv"]
+
+
+def test_report_refuses_run_files_from_another_experiment(corpus, tmp_path, capsys):
+    root, pa, _ = corpus
+    ini = write_ini(root, pa)
+    out = tmp_path / "out"
+    assert main(["run", "--config", ini, "--out", str(out), "--budget", "60"]) == 0
+    path = out / "runs" / "alpha" / "sfe" / "run_0001.jsonl"
+    old = path.read_text()
+    assert main(["run", "--config", ini, "--out", str(out), "--force", "--budget", "40"]) == 0
+    path.write_text(old)  # a budget-60 run among the budget-40 ones
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: meta budget is 60 but config.ini "
+                                       "gives 40; the file is from another experiment\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: meta budget is 60")):
+        load_runs(str(out))
 
 
 def test_cli_default_out_dir_env(corpus, tmp_path, capsys, monkeypatch):
