@@ -92,8 +92,9 @@ def pso_search(
     a known-good mask. Each generation charges pop_size evaluations, so
     the remaining budget must cover at least the initial wave. Personal
     bests move only on strict improvement; the global best prefers the
-    lowest particle index on ties. Returns a trace with one entry per
-    evaluation whose best-fitness series is the running maximum.
+    lowest particle index on ties. Each evaluation is offered to the trace,
+    so its best-fitness series is the running maximum; the final mask is
+    the global best.
     """
     rng = as_generator(seed)
     n = params.pop_size
@@ -120,42 +121,25 @@ def pso_search(
     def evaluate_wave():
         for i in range(n):
             fits[i] = ev.evaluate(positions[i])
-
-    def record_wave(gbest_fit, gbest_count):
-        # Entries are per evaluation; the best column is the running max.
-        base = ev.used - n
-        running, count = gbest_fit, gbest_count
-        for i in range(n):
-            if fits[i] > running or np.isnan(running):
-                running = fits[i]
-                count = int(positions[i].sum())
-            trace.record(base + i + 1, running, count)
-        return running, count
+            trace.offer(ev.used, fits[i], positions[i])
 
     evaluate_wave()
-    best_fit, best_count = float("nan"), 0
-    best_fit, best_count = record_wave(best_fit, best_count)
 
     pbest = positions.copy()
     pbest_fits = fits.copy()
-    g = int(np.argmax(pbest_fits))
-    gbest = pbest[g].copy()
-    gbest_fit = float(pbest_fits[g])
+    gbest = pbest[int(np.argmax(pbest_fits))].copy()
 
     while ev.remaining_budget >= n:
         velocities = velocity_update(velocities, positions, pbest, gbest, params, rng)
         positions = position_update(velocities, rng)
         _repair_zero_rows(positions, rng)
         evaluate_wave()
-        best_fit, best_count = record_wave(best_fit, best_count)
 
         improved = fits > pbest_fits
         pbest[improved] = positions[improved]
         pbest_fits[improved] = fits[improved]
-        g = int(np.argmax(pbest_fits))  # first index wins ties
-        gbest = pbest[g].copy()
-        gbest_fit = float(pbest_fits[g])
+        gbest = pbest[int(np.argmax(pbest_fits))].copy()  # first index wins ties
 
-    trace.final_mask = gbest.copy()
-    trace.final_fitness = gbest_fit
+    # gbest's fitness is the running best, so only the mask can differ
+    trace.final_mask = gbest
     return trace

@@ -18,6 +18,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import re
 import time
@@ -173,6 +174,12 @@ def _record(kind: str, res: RunResult, **head) -> dict:
             **{a.removeprefix("trace_"): getattr(res, a) for a in _RUN_RECORDS[kind]}}
 
 
+def _nan_to_null(record: dict) -> dict:
+    # A bare NaN is not valid JSON, so a missing value is written as null.
+    return {k: None if isinstance(v, float) and math.isnan(v) else v
+            for k, v in record.items()}
+
+
 def _meta(cfg: ExperimentConfig, run) -> dict:
     """The meta record of ``run``, a `_Run` or `RunResult` of ``cfg``."""
     return _record("meta", run, schema=_SCHEMA) | dict(
@@ -180,15 +187,15 @@ def _meta(cfg: ExperimentConfig, run) -> dict:
 
 
 def _persist_run(path: str, cfg: ExperimentConfig, res: RunResult) -> None:
+    """Write ``res`` to a temporary file and rename it over ``path``, so a
+    run file is either complete or absent."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    final = _record("final", res)
-    if not res.ok:
-        final["accuracy"] = None  # a failed run's NaN is not valid JSON
-    with open(path, "w") as fh:
+    with open(path + ".tmp", "w") as fh:
         fh.write(json.dumps(_meta(cfg, res)) + "\n")
         if res.ok:
             fh.write(json.dumps(_record("trace", res)) + "\n")
-        fh.write(json.dumps(final) + "\n")
+        fh.write(json.dumps(_nan_to_null(_record("final", res))) + "\n")
+    os.replace(path + ".tmp", path)
 
 
 def _load_dataset(cfg: ExperimentConfig, spec: DatasetSpec) -> Dataset:
@@ -313,7 +320,7 @@ def build_report(cfg: ExperimentConfig, results) -> ExperimentReport:
 def _report_to_json(report: ExperimentReport) -> dict:
     cells = {}
     for (algorithm, dataset), st in report.cells.items():
-        entry = dataclasses.asdict(st)
+        entry = _nan_to_null(dataclasses.asdict(st))
         mark = report.marks.get((algorithm, dataset))
         if mark is not None:
             entry["vs_reference"] = mark.value
@@ -382,17 +389,22 @@ def load_runs(out_dir: str):
     matrix order.
 
     Files under ``runs/`` that the matrix does not name are ignored. A
-    missing or incomplete run file, one whose meta record differs from the
-    run that ``config.ini`` names there, or a trace that is not one entry
-    per evaluation ``1..n``, is an error that names the file.
+    missing or incomplete run file, a line that is not valid JSON, a meta
+    record that differs from the run that ``config.ini`` names there, or a
+    trace that is not one entry per evaluation ``1..n``, is an error that
+    names the file.
     """
     cfg = load_config(os.path.join(out_dir, "config.ini"))
     results = []
     for path, run in _matrix(cfg, out_dir):
         records = {}
         with open(path) as fh:
-            for line in fh:
-                rec = json.loads(line)
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"{path}: line {lineno} is not valid JSON: {exc}") from None
                 records[rec.get("type")] = rec
         if "meta" not in records or "final" not in records:
             raise ValueError(f"{path}: incomplete run record")

@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+# Consecutive rejected moves after which the hill climber restarts.
+_RESTART_AFTER = 50
+
+
 class EngineContractError(RuntimeError):
     """A continuation engine broke its interface contract."""
 
@@ -98,27 +102,22 @@ def sfe_ec_search(
     running) while fewer than ``min_continuation_budget`` evaluations
     remain.
 
-    The returned trace is continuous across the handoff and its final mask
-    is expressed in ``ds``'s own index space; ``handoff_fes`` records where
-    control changed hands, or None when the trigger never fired.
+    The returned trace is stage one's, with the engine's entries appended
+    after the handoff, and its final mask is expressed in ``ds``'s own
+    index space; ``handoff_fes`` records where control changed hands, or
+    None when the trigger never fired.
     """
     rng = as_generator(seed)
-    fired = []
 
     def stop(trace):
-        if min_continuation_budget and ev.remaining_budget < min_continuation_budget:
-            return False
-        if stagnation_check(trace, trace.fes[-1], params):
-            fired.append(trace.fes[-1])
-            return True
-        return False
+        return (ev.remaining_budget >= min_continuation_budget
+                and stagnation_check(trace, trace.fes[-1], params))
 
-    stage1 = sfe_search(ds, ev, params.sfe, rng, stop=stop)
-    if not fired:
-        return stage1
+    trace = sfe_search(ds, ev, params.sfe, rng, stop=stop)
+    if ev.remaining_budget == 0:  # stage one only stops early when stop fires
+        return trace
 
-    handoff_fes = fired[0]
-    frozen = stage1.final_mask
+    frozen = trace.final_mask
     reduced = subset_columns(ds, frozen)
     ev2 = ev.spawn(reduced)
     seed_mask = np.ones(reduced.n_features, dtype=np.int8)
@@ -138,22 +137,13 @@ def sfe_ec_search(
     if not final_reduced.any():
         raise EngineContractError("engine's final mask selects no features")
 
-    combined = SearchTrace(
-        fes=list(stage1.fes),
-        best_fitness=list(stage1.best_fitness),
-        n_selected=list(stage1.n_selected),
-    )
-    combined.extend(stage2)
-    combined.handoff_fes = handoff_fes
-    combined.handoff_mask = frozen.copy()
-    combined.final_mask = _map_to_parent(
-        np.flatnonzero(frozen), final_reduced, ds.n_features
-    )
+    trace.handoff_fes = trace.fes[-1]
+    trace.handoff_mask = frozen
+    trace.extend(stage2)
+    trace.final_mask = _map_to_parent(np.flatnonzero(frozen), final_reduced, ds.n_features)
     if len(stage2) > 0:
-        combined.final_fitness = stage2.final_fitness
-    else:
-        combined.final_fitness = stage1.final_fitness
-    return combined
+        trace.final_fitness = stage2.final_fitness
+    return trace
 
 
 def make_pso_engine(params: PsoParams):
@@ -183,13 +173,13 @@ def sfe_pso_search(
     return sfe_ec_search(ds, ev, engine, params, seed, min_continuation_budget=floor)
 
 
-def hillclimb_engine(reduced_ds, ev, seed_mask, rng, restart_after: int = 50) -> SearchTrace:
+def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
     """Single-bit-flip hill climber with random restarts.
 
-    Accepts moves that do not lose fitness; after ``restart_after``
-    consecutive rejections it restarts from a random mask. The returned
-    mask is the best one seen anywhere, so the final fitness never falls
-    below the seed's.
+    Accepts moves that do not lose fitness; after `_RESTART_AFTER`
+    consecutive rejections it restarts from a random mask. Every
+    evaluation is offered to the trace, so the returned mask is the best
+    one seen anywhere and the final fitness never falls below the seed's.
     """
     rng = as_generator(rng)
     d = reduced_ds.n_features
@@ -197,17 +187,13 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng, restart_after: int = 50) ->
 
     def measure(mask):
         value = ev.evaluate(mask)
-        if trace.best_fitness and value <= trace.best_fitness[-1]:
-            trace.record(ev.used, trace.best_fitness[-1], trace.n_selected[-1])
-        else:
-            trace.record(ev.used, value, int(mask.sum()))
+        trace.offer(ev.used, value, mask)
         return value
 
     current = np.asarray(seed_mask, dtype=np.int8).copy()
     if ev.remaining_budget <= 0:
         raise ValueError("hill climber needs at least one evaluation of budget")
     fit_cur = measure(current)
-    best, best_fit = current.copy(), fit_cur
     rejected = 0
     while ev.remaining_budget > 0:
         cand = current.copy()
@@ -219,19 +205,12 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng, restart_after: int = 50) ->
         if fit_cand >= fit_cur:
             current, fit_cur = cand, fit_cand
             rejected = 0
-            if fit_cur > best_fit:
-                best, best_fit = current.copy(), fit_cur
         else:
             rejected += 1
-        if rejected >= restart_after and ev.remaining_budget > 0:
+        if rejected >= _RESTART_AFTER and ev.remaining_budget > 0:
             current = random_mask(d, rng)
             fit_cur = measure(current)
             rejected = 0
-            if fit_cur > best_fit:
-                best, best_fit = current.copy(), fit_cur
-
-    trace.final_mask = best
-    trace.final_fitness = best_fit
     return trace
 
 

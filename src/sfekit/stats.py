@@ -35,17 +35,11 @@ class Mark(enum.Enum):
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, tied values sharing the mean of their positions."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(
+        np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    # a group of c ties ending at rank e holds ranks e-c+1..e, mean e-(c-1)/2
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def _normal_p(w: float, n1: int, n2: int, pooled: np.ndarray) -> float:

@@ -4,6 +4,10 @@ Every search records one entry per charged fitness evaluation: the
 evaluation counter, the best fitness seen so far, and the selected-feature
 count of the current best mask. Convergence curves and stagnation checks
 are both defined over this series.
+
+Two rules fill it. The single-agent search `record`s its incumbent, which
+moves on ties. Every other search `offer`s each evaluation and the trace
+keeps the running best, where ties keep the earlier mask.
 """
 
 from __future__ import annotations
@@ -42,6 +46,20 @@ class SearchTrace:
         self.fes.append(int(fes))
         self.best_fitness.append(float(best))
         self.n_selected.append(int(n_selected))
+
+    def offer(self, fes: int, value: float, mask) -> None:
+        """Record evaluation ``fes`` of ``mask`` under the running-best rule.
+
+        The entry, ``final_mask`` (a copy) and ``final_fitness`` change only
+        when ``value`` beats the best so far strictly; otherwise the entry
+        repeats the previous one.
+        """
+        if self.fes and not value > self.best_fitness[-1]:
+            self.record(fes, self.best_fitness[-1], self.n_selected[-1])
+            return
+        self.record(fes, value, np.count_nonzero(mask))
+        self.final_mask = np.array(mask, dtype=np.int8)
+        self.final_fitness = float(value)
 
     def __len__(self) -> int:
         return len(self.fes)

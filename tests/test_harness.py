@@ -438,6 +438,47 @@ def test_failed_runs_are_recorded_not_fatal(corpus, tmp_path):
     assert not out.exists()
 
 
+def test_report_json_writes_null_for_a_cell_without_runs(corpus, tmp_path):
+    _, pa, _ = corpus
+    cfg = small_cfg(pa, algorithms=("sfe", "bpso"), budget=15, hybrid=SHORT_OF_ONE_WAVE)
+    out = tmp_path / "out"
+    run_experiment(cfg, str(out))
+
+    def refuse(name):
+        raise ValueError(f"report.json holds a bare {name}")
+
+    payload = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    cell = payload["cells"]["bpso"]["alpha"]
+    assert (cell["n_runs"], cell["n_failed"]) == (0, 2)
+    for key in ("worst", "best", "mean", "std", "mean_selected", "mean_time_s"):
+        assert cell[key] is None
+    assert payload["cells"]["sfe"]["alpha"]["mean"] > 0
+    # the text report still shows the empty cell as nan
+    assert re.search(r"alpha\s+bpso\s+0 \(2 failed\)\s+nan", (out / "report.txt").read_text())
+
+
+def test_run_files_are_written_atomically(corpus, tmp_path, monkeypatch):
+    _, pa, _ = corpus
+    cfg = small_cfg(pa, algorithms=("sfe",), runs=1, budget=20)
+    dumps = json.dumps
+
+    def fail_on_final(obj, *args, **kwargs):
+        if isinstance(obj, dict) and obj.get("type") == "final":
+            raise OSError("disk full")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", fail_on_final)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg, str(out))
+    # the meta and trace lines were written, but never under the run's name
+    assert not (out / "runs" / "alpha" / "sfe" / "run_0000.jsonl").exists()
+
+    monkeypatch.undo()
+    run_experiment(cfg, str(tmp_path / "ok"))
+    assert os.listdir(tmp_path / "ok" / "runs" / "alpha" / "sfe") == ["run_0000.jsonl"]
+
+
 def test_dataset_names_sharing_a_run_file_are_refused(corpus, tmp_path):
     _, pa, pb = corpus
     cfg = small_cfg(algorithms=("sfe",), runs=1, budget=20,
@@ -467,6 +508,22 @@ def test_load_runs_refuses_bad_run_files(corpus, tmp_path):
     path.unlink()
     with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
         load_runs(str(out))
+
+
+def test_load_runs_names_a_run_file_that_is_not_json(corpus, tmp_path, capsys):
+    _, pa, _ = corpus
+    out = tmp_path / "out"
+    run_experiment(small_cfg(pa, algorithms=("sfe",), runs=1, budget=20), str(out))
+    path = out / "runs" / "alpha" / "sfe" / "run_0000.jsonl"
+    text = path.read_text()
+    cut = text[: len(text) // 2]
+    path.write_text(cut)
+    lineno = cut.count("\n") + 1
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno} is not valid JSON: ")):
+        load_runs(str(out))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: line {lineno} is not valid JSON")
 
 
 # ------------------------------------------------------------- convergence

@@ -1,5 +1,6 @@
 """Property tests: budget, trace and handoff invariants of every search,
-and the k-NN vote against its straight-line oracle.
+the running-best rule of `SearchTrace.offer` and the k-NN vote against
+their straight-line oracles.
 
 Each search example draws a small dataset, a budget and the trigger
 settings, runs one registered search name and checks what every run must
@@ -20,6 +21,7 @@ from sfekit import (
     FitnessEvaluator,
     HybridParams,
     PsoParams,
+    SearchTrace,
     resolve_algorithm,
     stratified_kfold,
 )
@@ -105,3 +107,30 @@ def test_knn_vote_matches_oracle(q):
     assert _predict(q["queries"], train, labels, q["k"]).tolist() == [
         oracle_predict(train, labels, row, q["k"]) for row in q["queries"]
     ]
+
+
+@st.composite
+def offers(draw):
+    # few distinct values, so ties with the running best are common
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    return (draw(st.lists(st.sampled_from([50.0, 62.5, 75.0, 100.0]), min_size=n, max_size=n)),
+            draw(arrays(np.int8, (n, d), elements=st.integers(0, 1))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(offer=offers())
+def test_offer_keeps_the_first_mask_to_reach_the_running_best(offer):
+    values, masks = offer
+    trace = SearchTrace()
+    for fes, (value, mask) in enumerate(zip(values, masks), 1):
+        trace.offer(fes, value, mask)
+        first = int(np.argmax(values[:fes]))  # argmax returns the first maximum
+        assert trace.fes[-1] == fes
+        assert trace.best_fitness[-1] == max(values[:fes]) == trace.final_fitness
+        assert trace.n_selected[-1] == masks[first].sum()
+        assert np.array_equal(trace.final_mask, masks[first])
+    # the trace kept copies: changing an offered array leaves it alone
+    keep = trace.final_mask.copy()
+    masks[:] = 1 - masks
+    assert np.array_equal(trace.final_mask, keep)
