@@ -29,7 +29,6 @@ from .hybrid import (
     EngineContractError,
     HybridParams,
     hillclimb_engine,
-    make_pso_engine,
     resolve_algorithm,
     resolve_engine,
     sfe_ec_search,
@@ -79,7 +78,6 @@ __all__ = [
     "load_config",
     "load_csv",
     "load_runs",
-    "make_pso_engine",
     "non_selection",
     "position_update",
     "pso_search",

@@ -92,9 +92,10 @@ def pso_search(
     a known-good mask. Each generation charges pop_size evaluations, so
     the remaining budget must cover at least the initial wave. Personal
     bests move only on strict improvement; the global best prefers the
-    lowest particle index on ties. Each evaluation is offered to the trace,
-    so its best-fitness series is the running maximum; the final mask is
-    the global best.
+    lowest particle index on ties and steers the velocities. Each
+    evaluation is offered to the trace, so its best-fitness series is the
+    running maximum and the final mask is the running best: the first mask
+    to reach the best fitness, which ``n_selected[-1]`` counts.
     """
     rng = as_generator(seed)
     n = params.pop_size
@@ -140,6 +141,4 @@ def pso_search(
         pbest_fits[improved] = fits[improved]
         gbest = pbest[int(np.argmax(pbest_fits))].copy()  # first index wins ties
 
-    # gbest's fitness is the running best, so only the mask can differ
-    trace.final_mask = gbest
     return trace

@@ -133,8 +133,14 @@ def _section_keys(cls, skip=()):
 
 
 # Keys that older snapshots hold but no field reads, each with the one value
-# that the current code reproduces. Any other value is refused.
-_RETIRED = {("sfe", "ur_denominator"): "max_fes"}
+# that the current code reproduces, or None where it reproduces every value
+# (rf_n only tuned the retired random_fraction policy). Any other value is
+# refused.
+_RETIRED = {
+    ("sfe", "ur_denominator"): "max_fes",
+    ("sfe", "un_policy"): "linear_schedule",
+    ("sfe", "rf_n"): None,
+}
 
 
 def _read_section(parser, section, cls, where, **given):
@@ -144,9 +150,9 @@ def _read_section(parser, section, cls, where, **given):
     kwargs = dict(given)
     if parser.has_section(section):
         for key, raw in parser.items(section):
-            kept = _RETIRED.get((section, key))
-            if kept is not None:
-                if raw != kept:
+            if (section, key) in _RETIRED:
+                kept = _RETIRED[section, key]
+                if kept is not None and raw != kept:
                     raise ConfigError(f"{where}: [{section}] {key}: {raw!r} is no "
                                       f"longer supported; only {kept!r} is")
                 continue

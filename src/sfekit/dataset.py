@@ -117,21 +117,25 @@ class FoldAssignment:
         return np.flatnonzero(self.fold_of_instance != fold)
 
 
-def _parse_label_column(label_col, header, n_cols):
+def _parse_label_column(path, label_col, header, n_cols):
     if isinstance(label_col, str):
         if header is None:
             raise DatasetError(
-                f"label column {label_col!r} given by name but the file has no header"
+                f"{path}: label column {label_col!r} given by name but the file has no header"
             )
         try:
             return header.index(label_col)
         except ValueError:
-            raise DatasetError(f"label column {label_col!r} not found in header") from None
+            raise DatasetError(
+                f"{path}: label column {label_col!r} not found in header"
+            ) from None
     idx = int(label_col)
     if idx < 0:
         idx += n_cols
     if not 0 <= idx < n_cols:
-        raise DatasetError(f"label column index {label_col} out of range for {n_cols} columns")
+        raise DatasetError(
+            f"{path}: label column index {label_col} out of range for {n_cols} columns"
+        )
     return idx
 
 
@@ -172,7 +176,7 @@ def load_csv(path, label_col=-1, has_header: bool = False, name: str = "") -> Da
     n_cols = len(rows[0])
     if n_cols < 2:
         raise DatasetError(f"{path}: need at least one feature column plus a label column")
-    lbl = _parse_label_column(label_col, header, n_cols)
+    lbl = _parse_label_column(path, label_col, header, n_cols)
 
     n = len(rows)
     X = np.empty((n, n_cols - 1), dtype=np.float64)

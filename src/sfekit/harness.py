@@ -224,7 +224,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     """
     matrix = _matrix(cfg, out_dir)
     datasets = {spec.name: _load_dataset(cfg, spec) for spec in cfg.datasets}
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file is in the way
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     write_config(cfg, os.path.join(out_dir, "config.ini"))
 
     tasks = [(datasets[run.dataset], cfg, run) for _, run in matrix]

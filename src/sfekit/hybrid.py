@@ -29,7 +29,6 @@ __all__ = [
     "sfe_ec_search",
     "sfe_pso_search",
     "hillclimb_engine",
-    "make_pso_engine",
     "resolve_engine",
     "resolve_algorithm",
 ]
@@ -146,15 +145,6 @@ def sfe_ec_search(
     return trace
 
 
-def make_pso_engine(params: PsoParams):
-    """Continuation engine running BPSO seeded with the handoff mask."""
-
-    def engine(reduced_ds, ev, seed_mask, rng):
-        return pso_search(reduced_ds, ev, params, init=seed_mask, seed=rng)
-
-    return engine
-
-
 def sfe_pso_search(
     ds: Dataset,
     ev: FitnessEvaluator,
@@ -167,10 +157,10 @@ def sfe_pso_search(
     first evaluation reproduces the handoff fitness and the combined
     best-fitness series never dips. A handoff needs at least one whole
     particle wave of budget; with less remaining, stage one simply runs
-    the budget out.
+    the budget out. This is the registry's ``sfe_pso``, the same search
+    as ``sfe_ec:pso``.
     """
-    engine, floor = resolve_engine("pso", params)
-    return sfe_ec_search(ds, ev, engine, params, seed, min_continuation_budget=floor)
+    return resolve_algorithm("sfe_pso", params)(ds, ev, seed)
 
 
 def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
@@ -217,10 +207,13 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
 def resolve_engine(name: str, params: HybridParams):
     """Look up a continuation engine by name.
 
-    Returns (engine, min_continuation_budget). Names: "pso", "hillclimb".
+    Returns (engine, min_continuation_budget). Names: "pso", BPSO seeded
+    with the handoff mask, and "hillclimb".
     """
     if name == "pso":
-        return make_pso_engine(params.pso), params.pso.pop_size
+        def pso_engine(reduced_ds, ev, seed_mask, rng):
+            return pso_search(reduced_ds, ev, params.pso, init=seed_mask, seed=rng)
+        return pso_engine, params.pso.pop_size
     if name == "hillclimb":
         return hillclimb_engine, 1
     raise ValueError(f"unknown continuation engine {name!r}; known: pso, hillclimb")
@@ -230,16 +223,16 @@ def resolve_algorithm(name: str, params: HybridParams):
     """Look up a search by its configured name.
 
     Returns ``run(ds, ev, seed) -> SearchTrace``. Names: "sfe", "bpso",
-    "sfe_pso" and "sfe_ec:<engine>" with an engine name known to
-    `resolve_engine`. This is the one place that lists them; an unknown
-    name raises ValueError.
+    "sfe_pso" (the paper's name for "sfe_ec:pso") and "sfe_ec:<engine>"
+    with an engine name known to `resolve_engine`. This is the one place
+    that lists them; an unknown name raises ValueError.
     """
     if name == "sfe":
         return lambda ds, ev, seed: sfe_search(ds, ev, params.sfe, seed)
     if name == "bpso":
         return lambda ds, ev, seed: pso_search(ds, ev, params.pso, seed=seed)
     if name == "sfe_pso":
-        return lambda ds, ev, seed: sfe_pso_search(ds, ev, params, seed)
+        name = "sfe_ec:pso"
     if name.startswith("sfe_ec:"):
         engine, floor = resolve_engine(name.split(":", 1)[1], params)
         return lambda ds, ev, seed: sfe_ec_search(

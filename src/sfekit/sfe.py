@@ -38,28 +38,17 @@ class SfeParams:
         Endpoints of the annealed clearing rate.
     sn : int
         Bits switched on by one selection move.
-    un_policy : str
-        "linear_schedule" draws the clear count from the annealed rate;
-        "random_fraction" draws it as a random fraction of the dimension.
-    rf_n : int
-        Divisor cap for the random_fraction policy.
     """
 
     ur_max: float = 0.3
     ur_min: float = 0.001
     sn: int = 1
-    un_policy: str = "linear_schedule"
-    rf_n: int = 20
 
     def __post_init__(self):
         if not 0.0 <= self.ur_min <= self.ur_max <= 1.0:
             raise ValueError("need 0 <= ur_min <= ur_max <= 1")
         if self.sn < 1:
             raise ValueError("sn must be at least 1")
-        if self.un_policy not in ("linear_schedule", "random_fraction"):
-            raise ValueError(f"unknown un_policy {self.un_policy!r}")
-        if self.rf_n < 1:
-            raise ValueError("rf_n must be at least 1")
 
 
 def ur_schedule(params: SfeParams, fes: int, max_fes: int) -> float:
@@ -74,22 +63,12 @@ def ur_schedule(params: SfeParams, fes: int, max_fes: int) -> float:
     return (params.ur_max - params.ur_min) * ((max_fes - fes) / max_fes) + params.ur_min
 
 
-def compute_un(params: SfeParams, ur: float, nvar: int, rng=None) -> int:
-    """Number of selected bits the next non-selection move will clear.
-
-    The linear_schedule policy takes ceil(ur * nvar); random_fraction draws
-    floor(u * nvar / k) with u uniform in [0,1) and k a uniform integer in
-    [1, rf_n]. Either way the result is at least 1.
-    """
+def compute_un(params: SfeParams, ur: float, nvar: int) -> int:
+    """Number of selected bits the next non-selection move will clear:
+    ceil(ur * nvar), and at least 1."""
     if nvar < 1:
         raise ValueError("nvar must be positive")
-    if params.un_policy == "linear_schedule":
-        un = math.ceil(ur * nvar)
-    else:
-        rng = as_generator(rng)
-        k = int(rng.integers(1, params.rf_n + 1))
-        un = int(rng.random() * nvar / k)
-    return max(1, un)
+    return max(1, math.ceil(ur * nvar))
 
 
 def non_selection(x: np.ndarray, un: int, rng) -> np.ndarray:
@@ -169,7 +148,7 @@ def sfe_search(
 
     ur = ur_schedule(params, 0, max_fes)
     while ev.remaining_budget > 0 and not (stop is not None and stop(trace)):
-        un = compute_un(params, ur, nvar, rng)
+        un = compute_un(params, ur, nvar)
         cand = non_selection(x, un, rng)
         if not cand.any():
             if np.all(x == 1):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,13 +42,13 @@ def test_load_csv_negative_label_col_counts_from_end(tmp_path):
 
 def test_load_csv_label_name_requires_header(tmp_path):
     p = write(tmp_path / "d.csv", "1,2,a\n")
-    with pytest.raises(DatasetError, match="no header"):
+    with pytest.raises(DatasetError, match=re.escape(p) + ": .*no header"):
         load_csv(p, label_col="cls")
 
 
 def test_load_csv_unknown_label_name(tmp_path):
     p = write(tmp_path / "d.csv", "a,b\n1,x\n")
-    with pytest.raises(DatasetError, match="not found"):
+    with pytest.raises(DatasetError, match=re.escape(p) + ": .*not found"):
         load_csv(p, label_col="nope", has_header=True)
 
 
@@ -88,7 +90,7 @@ def test_load_csv_rejects_empty_and_tiny_files(tmp_path):
 
 def test_load_csv_label_col_out_of_range(tmp_path):
     p = write(tmp_path / "d.csv", "1,2,a\n")
-    with pytest.raises(DatasetError, match="out of range"):
+    with pytest.raises(DatasetError, match=re.escape(p) + ": .*out of range"):
         load_csv(p, label_col=5)
 
 

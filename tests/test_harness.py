@@ -15,6 +15,7 @@ from sfekit import (
     ExperimentConfig,
     HybridParams,
     PsoParams,
+    SfeParams,
     build_report,
     derive_seed,
     emit_convergence,
@@ -118,7 +119,7 @@ fold_mean = true
 ur_max = 0.25
 ur_min = 0.01
 sn = 2
-un_policy = random_fraction
+un_policy = linear_schedule
 rf_n = 10
 ur_denominator = max_fes
 
@@ -157,12 +158,13 @@ def test_config_snapshot_golden(tmp_path):
     cfg = load_config(str(ini))
     assert cfg.algorithms == ("sfe", "bpso", "sfe_pso", "sfe_ec:hillclimb")
     assert (cfg.knn_k, cfg.workers, cfg.reference, cfg.fixed_folds) == (3, 2, "sfe", True)
-    assert cfg.hybrid.sfe.rf_n == 10 and cfg.hybrid.pso.v_clamp == 4.0
+    assert cfg.hybrid.sfe.sn == 2 and cfg.hybrid.pso.v_clamp == 4.0
     assert cfg.datasets[1] == DatasetSpec("beta", "/data/beta.csv", "cls", True)
     back = tmp_path / "back.ini"
     write_config(cfg, str(back))
-    # the retired [sfe] ur_denominator is read and ignored, and not written
-    assert back.read_text() == GOLDEN_SNAPSHOT.replace("ur_denominator = max_fes\n", "")
+    # the retired [sfe] keys are read and ignored, and not written
+    retired = "un_policy = linear_schedule\nrf_n = 10\nur_denominator = max_fes\n"
+    assert back.read_text() == GOLDEN_SNAPSHOT.replace(retired, "")
 
     # a snapshot of the retired clearing schedule is refused, not rerun as another
     ini.write_text(GOLDEN_SNAPSHOT.replace("ur_denominator = max_fes", "ur_denominator = fes"))
@@ -195,7 +197,7 @@ def test_config_parses_all_sections(corpus, tmp_path):
         "[experiment]\n"
         "algorithms = sfe, sfe_ec:hillclimb\n"
         "runs = 4\nbudget = 90\nfolds = 3\nseed = 11\nfold_mean = yes\n"
-        "[sfe]\nur_max = 0.25\nun_policy = random_fraction\n"
+        "[sfe]\nur_max = 0.25\nun_policy = linear_schedule\nrf_n = 3\n"
         "[pso]\npop_size = 7\nc2 = 1.25\n"
         "[hybrid]\nwarmup_fes = 40\nstagnation_window = 20\n"
         "[dataset:alpha]\npath = alpha.csv\n"
@@ -204,7 +206,7 @@ def test_config_parses_all_sections(corpus, tmp_path):
     assert cfg.algorithms == ("sfe", "sfe_ec:hillclimb")
     assert (cfg.runs, cfg.budget, cfg.folds, cfg.seed) == (4, 90, 3, 11)
     assert cfg.fold_mean and not cfg.fixed_folds
-    assert cfg.hybrid.sfe.ur_max == 0.25 and cfg.hybrid.sfe.un_policy == "random_fraction"
+    assert cfg.hybrid.sfe == SfeParams(ur_max=0.25)
     assert cfg.hybrid.pso.pop_size == 7 and cfg.hybrid.pso.c2 == 1.25
     assert (cfg.hybrid.warmup_fes, cfg.hybrid.stagnation_window) == (40, 20)
     assert cfg.datasets[0].path == pa  # relative path resolved to the file
@@ -235,6 +237,10 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
         ("[dataset:b]\npath = b.csv\nheader = sure\n",
          r"\[dataset:b\] header: cannot parse 'sure' as bool"),
         ("[DEFAULT]\nruns = 3\n", r"\[DEFAULT\] is not supported"),
+        # the retired policy is refused, not rerun as the linear schedule
+        ("[sfe]\nun_policy = random_fraction\n",
+         r"\[sfe\] un_policy: 'random_fraction' is no longer supported; "
+         r"only 'linear_schedule' is$"),
         ("[experiment]\nruns = 0\n", r"\[experiment\] runs must be at least 1"),
         # malformed INI files are configuration errors, not tracebacks
         ("[experiment]\nruns = 2\nruns = 3\n",
@@ -593,6 +599,20 @@ def test_cli_refuses_dirty_out_dir(corpus, tmp_path, capsys):
     assert main(["run", "--config", ini, "--out", out, "--runs", "1"]) == 2
     assert "not empty" in capsys.readouterr().err
     assert main(["run", "--config", ini, "--out", out, "--runs", "1", "--force"]) == 0
+
+
+def test_cli_refuses_an_out_path_that_is_a_file(corpus, tmp_path, capsys):
+    root, pa, _ = corpus
+    ini = write_ini(root, pa)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    for out, reason in [(taken, "File exists"), (taken / "sub", "Not a directory")]:
+        for force in ([], ["--force"]):
+            assert main(["run", "--config", ini, "--out", str(out), "--runs", "1",
+                         *force]) == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot create output directory {out}: {reason}\n")
+    assert taken.read_text() == "keep\n"
 
 
 def test_cli_algo_and_dataset_filters(corpus, tmp_path, capsys):

@@ -9,7 +9,6 @@ from sfekit import (
     SearchTrace,
     SfeParams,
     hillclimb_engine,
-    make_pso_engine,
     pso_search,
     resolve_algorithm,
     resolve_engine,
@@ -166,13 +165,18 @@ def test_handoff_skipped_when_under_min_continuation_budget():
     assert ev.used == 34
 
 
+def direct_sfe_pso(ds, ev, p, seed):
+    # the pso engine built here, not by resolve_engine
+    def engine(reduced_ds, ev2, seed_mask, rng):
+        return pso_search(reduced_ds, ev2, p.pso, init=seed_mask, seed=rng)
+    return sfe_ec_search(ds, ev, engine, p, seed, min_continuation_budget=p.pso.pop_size)
+
+
 DIRECT_ENTRY_POINTS = {
     "sfe": lambda ds, ev, p, seed: sfe_search(ds, ev, p.sfe, seed),
     "bpso": lambda ds, ev, p, seed: pso_search(ds, ev, p.pso, seed=seed),
-    "sfe_pso": lambda ds, ev, p, seed: sfe_pso_search(ds, ev, p, seed),
-    "sfe_ec:pso": lambda ds, ev, p, seed: sfe_ec_search(
-        ds, ev, make_pso_engine(p.pso), p, seed, min_continuation_budget=p.pso.pop_size
-    ),
+    "sfe_pso": direct_sfe_pso,
+    "sfe_ec:pso": direct_sfe_pso,
     "sfe_ec:hillclimb": lambda ds, ev, p, seed: sfe_ec_search(
         ds, ev, hillclimb_engine, p, seed, min_continuation_budget=1
     ),

@@ -6,8 +6,8 @@ Each search example draws a small dataset, a budget and the trigger
 settings, runs one registered search name and checks what every run must
 satisfy whatever the data: the trace has one entry per charged evaluation,
 the budget is spent (whole particle waves for the swarm searches), the
-best-so-far series never falls, and a handoff never comes inside the
-warm-up.
+best-so-far series never falls, the final mask has as many features as
+the last entry records, and a handoff never comes inside the warm-up.
 """
 
 import numpy as np
@@ -79,6 +79,8 @@ def test_budget_trace_and_handoff_invariants(name, run):
     assert all(a <= b for a, b in zip(best, best[1:]))
     assert trace.final_fitness == best[-1]
     assert trace.final_mask.shape == (ds.n_features,) and trace.final_mask.any()
+    # the final mask is the one the last trace entry counts
+    assert np.count_nonzero(trace.final_mask) == trace.n_selected[-1]
     if trace.handoff_fes is not None:
         assert name not in ("sfe", "bpso")
         assert params.warmup_fes < trace.handoff_fes < ev.used

@@ -132,22 +132,11 @@ def test_compute_un_linear_examples():
     assert compute_un(p, 0.0001, 20) == 1  # clamped up
 
 
-def test_compute_un_random_fraction_bounds():
-    p = SfeParams(un_policy="random_fraction", rf_n=20)
-    rng = np.random.default_rng(0)
-    values = [compute_un(p, 0.0, 50, rng) for _ in range(5000)]
-    assert min(values) >= 1
-    assert max(values) <= 50
-    assert len(set(values)) > 5  # genuinely random
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         SfeParams(ur_min=0.5, ur_max=0.3)
     with pytest.raises(ValueError):
         SfeParams(sn=0)
-    with pytest.raises(ValueError):
-        SfeParams(un_policy="bogus")
 
 
 # --------------------------------------------------------------- the search
@@ -237,14 +226,6 @@ def test_stop_hook_ends_search_early():
     trace = sfe_search(ds, ev, SfeParams(), seed=1, stop=lambda t: len(t) >= 17)
     assert len(trace) == 17
     assert ev.used == 17
-
-
-def test_search_with_random_fraction_policy():
-    ds = blob_dataset(30, 40, seed=9)
-    ev = make_ev(ds, budget=150)
-    trace = sfe_search(ds, ev, SfeParams(un_policy="random_fraction"), seed=4)
-    assert ev.used == 150
-    assert all(a <= b for a, b in zip(trace.best_fitness, trace.best_fitness[1:]))
 
 
 def test_search_single_feature_dataset_survives():
