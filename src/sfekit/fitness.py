@@ -3,9 +3,16 @@
 The evaluator charges one unit of a hard evaluation budget per fitness
 call. Search algorithms own the budget through this class; evaluating past
 the budget is an error, never a silent clamp.
+
+A search that reads only whether a candidate reaches a threshold asks
+`FitnessEvaluator.evaluate_at_least`, which stops the cross-validation at
+the first fold after which the candidate can no longer reach it (early
+abandoning). It is still charged one evaluation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -97,22 +104,24 @@ class FitnessEvaluator:
             raise ValueError("used must lie in [0, budget]")
         if knn_k < 1:
             raise ValueError("knn_k must be at least 1")
-        smallest_train = min(
-            folds.train_indices(f).size for f in range(folds.k)
-        )
+        splits = [(folds.test_indices(f), folds.train_indices(f)) for f in range(folds.k)]
+        smallest_train = min(train_idx.size for _, train_idx in splits)
         if knn_k > smallest_train:
             raise ValueError(
                 f"knn_k={knn_k} exceeds the smallest training split ({smallest_train})"
             )
+        for f, (test_idx, _) in enumerate(splits):
+            if test_idx.size == 0:
+                raise ValueError(f"fold {f} of {folds.k} has no test instances")
         self.dataset = dataset
         self.folds = folds
         self.knn_k = knn_k
         self.budget = budget
         self.used = used
         self.fold_mean = fold_mean
-        self._splits = [
-            (folds.test_indices(f), folds.train_indices(f)) for f in range(folds.k)
-        ]
+        self._splits = splits
+        # Threshold of the `evaluate_at_least` call in progress, else None.
+        self._at_least = None
 
     @property
     def remaining_budget(self) -> int:
@@ -151,16 +160,46 @@ class FitnessEvaluator:
         self.used += 1
         return self._accuracy(sel)
 
+    def evaluate_at_least(self, mask, at_least: float) -> float:
+        """`evaluate`, for a caller that needs only values of at least ``at_least``.
+
+        Returns exactly ``evaluate(mask)`` when that is >= ``at_least`` and
+        -inf otherwise. The cross-validation stops after the first fold at
+        which even a perfect score on the remaining folds would stay
+        strictly below ``at_least``. Charges one evaluation and checks the
+        mask just as `evaluate` does, by calling it, so a subclass that
+        overrides `evaluate` still sees every charged evaluation.
+        """
+        self._at_least = at_least
+        try:
+            value = self.evaluate(mask)
+        finally:
+            self._at_least = None
+        return value if value >= at_least else -math.inf
+
     def _accuracy(self, sel: np.ndarray) -> float:
         Xs = self.dataset.X[:, sel]
         y = self.dataset.y
-        correct = 0
+        n, k = self.dataset.n_instances, len(self._splits)
+        at_least = self._at_least
+        missed = 0
         per_fold = []
-        for test_idx, train_idx in self._splits:
+        for f, (test_idx, train_idx) in enumerate(self._splits):
             pred = _predict(Xs[test_idx], Xs[train_idx], y[train_idx], self.knn_k)
             hits = int(np.count_nonzero(pred == y[test_idx]))
-            correct += hits
+            missed += test_idx.size - hits
             per_fold.append(hits / test_idx.size)
+            if at_least is None or f == k - 1:
+                continue
+            # Upper bound on the final value: every remaining test row right.
+            if self.fold_mean:
+                # The margin covers the rounding of np.mean's summation order.
+                bound = 100.0 * (sum(per_fold) + (k - 1 - f)) / k + 1e-9
+            else:
+                # Same expression as the pooled value below, so it is exact.
+                bound = 100.0 * (n - missed) / n
+            if bound < at_least:
+                return -math.inf
         if self.fold_mean:
             return 100.0 * float(np.mean(per_fold))
-        return 100.0 * correct / self.dataset.n_instances
+        return 100.0 * (n - missed) / n

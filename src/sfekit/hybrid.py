@@ -11,6 +11,7 @@ in. If the trigger never fires the result is exactly the stage-one run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,13 +171,18 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
     consecutive rejections it restarts from a random mask. Every
     evaluation is offered to the trace, so the returned mask is the best
     one seen anywhere and the final fitness never falls below the seed's.
+
+    A move is scored by `FitnessEvaluator.evaluate_at_least` against the
+    current mask's fitness and may be abandoned early: it then reads as
+    -inf, is rejected and repeats the previous trace entry, which it could
+    not have beaten anyway. The seed and every restart are scored in full.
     """
     rng = as_generator(rng)
     d = reduced_ds.n_features
     trace = SearchTrace()
 
-    def measure(mask):
-        value = ev.evaluate(mask)
+    def measure(mask, at_least=-math.inf):
+        value = ev.evaluate_at_least(mask, at_least)
         trace.offer(ev.used, value, mask)
         return value
 
@@ -191,7 +197,7 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
         cand[j] = 1 - cand[j]
         if not cand.any():
             cand[int(rng.integers(0, d))] = 1
-        fit_cand = measure(cand)
+        fit_cand = measure(cand, fit_cur)
         if fit_cand >= fit_cur:
             current, fit_cur = cand, fit_cand
             rejected = 0

@@ -132,6 +132,12 @@ def sfe_search(
     recorded per evaluation; with a greedy acceptance rule the incumbent's
     fitness is the best seen so far.
 
+    Only the initial mask is scored in full. Each candidate is scored by
+    `FitnessEvaluator.evaluate_at_least` against the incumbent's fitness,
+    so a candidate that cannot reach it is abandoned at the first fold
+    that shows this; it is charged all the same, and the trace is the one
+    exact scoring would give.
+
     ``stop``, if given, is called after every recorded evaluation with the
     trace and may return True to end the run early; staged searches use it
     to take over at a stagnation point. Returns the trace with the final
@@ -156,7 +162,7 @@ def sfe_search(
                 cand = x.copy()
             else:
                 cand = selection(x, params.sn, rng)
-        fit_cand = ev.evaluate(cand)
+        fit_cand = ev.evaluate_at_least(cand, fit_x)
         if fit_cand >= fit_x:
             x, fit_x = cand, fit_cand
         trace.record(ev.used, fit_x, int(x.sum()))

@@ -7,9 +7,11 @@ from sfekit import (
     BudgetExhausted,
     Dataset,
     FitnessEvaluator,
+    FoldAssignment,
     stratified_kfold,
     subset_columns,
 )
+from sfekit import fitness
 from sfekit.fitness import _predict
 
 from util import blob_dataset, constant_dataset, keyed_dataset
@@ -242,3 +244,63 @@ def test_constructor_validation():
     other = blob_dataset(12, 3, seed=0)
     with pytest.raises(ValueError, match="does not match"):
         FitnessEvaluator(other, folds)
+
+
+def test_empty_test_fold_is_refused():
+    # k=3 with only folds 0 and 1 used: fold 2 would divide by zero
+    ds = blob_dataset(12, 3, seed=0)
+    folds = FoldAssignment(fold_of_instance=np.arange(12) % 2, k=3)
+    for fold_mean in (False, True):
+        with pytest.raises(ValueError, match="fold 2 of 3 has no test instances"):
+            FitnessEvaluator(ds, folds, fold_mean=fold_mean)
+
+
+# ------------------------------------------------------- evaluate_at_least
+
+def count_predict_calls(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _predict(*args)
+
+    monkeypatch.setattr(fitness, "_predict", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fold_mean", [False, True])
+def test_at_least_returns_the_exact_value_at_a_tie(monkeypatch, fold_mean):
+    ds = blob_dataset(25, 6, seed=3, shift=1.0)
+    ev, _ = evaluator(ds, budget=10, fold_mean=fold_mean)
+    mask = np.array([1, 1, 0, 1, 0, 0])
+    exact = ev.evaluate(mask)
+    calls = count_predict_calls(monkeypatch)
+    assert ev.evaluate_at_least(mask, exact) == exact
+    assert ev.evaluate_at_least(mask, -np.inf) == exact
+    assert len(calls) == 10  # both ran all five folds
+    assert ev.used == 3
+
+
+@pytest.mark.parametrize("fold_mean", [False, True])
+def test_at_least_abandons_after_the_first_fold_that_cannot_reach_it(
+        monkeypatch, fold_mean):
+    # only noise columns selected: the first fold misses, so 100 is out of reach
+    ds = keyed_dataset(30, 6, key_cols=[0], seed=4)
+    ev, _ = evaluator(ds, budget=5, fold_mean=fold_mean)
+    mask = np.array([0, 1, 1, 1, 1, 1])
+    exact = ev.evaluate(mask)
+    assert exact < 100.0
+    calls = count_predict_calls(monkeypatch)
+    assert ev.evaluate_at_least(mask, 100.0) == -np.inf
+    assert len(calls) < 5
+    # a threshold just above the exact value is missed by the full scoring too
+    assert ev.evaluate_at_least(mask, np.nextafter(exact, np.inf)) == -np.inf
+    assert ev.used == 3
+
+
+def test_at_least_checks_the_mask_like_evaluate():
+    ds = blob_dataset(15, 4, seed=1)
+    ev, _ = evaluator(ds, budget=1)
+    with pytest.raises(ValueError, match="no features"):
+        ev.evaluate_at_least(np.zeros(4, dtype=int), 50.0)
+    assert ev.used == 0 and ev._at_least is None

@@ -199,6 +199,36 @@ def test_registry_matches_direct_entry_point(name):
             assert a.handoff_fes is not None  # the continuation engine really ran
 
 
+class CountingEvaluator(FitnessEvaluator):
+    """Counts `evaluate` calls across spawns, as a benchmark's tracing
+    subclass does by overriding `evaluate` and `spawn` alone."""
+
+    def __init__(self, *args, calls, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = calls
+
+    def evaluate(self, mask) -> float:
+        self.calls.append(self.used)
+        return super().evaluate(mask)
+
+    def spawn(self, dataset):
+        return CountingEvaluator(dataset, self.folds, knn_k=self.knn_k,
+                                 budget=self.budget, used=self.used,
+                                 fold_mean=self.fold_mean, calls=self.calls)
+
+
+@pytest.mark.parametrize("name", list(DIRECT_ENTRY_POINTS))
+def test_an_evaluate_override_sees_every_charged_evaluation(name):
+    ds = blob_dataset(25, 10, seed=2, shift=1.0)
+    calls = []
+    ev = CountingEvaluator(ds, stratified_kfold(ds, 5, seed=1), budget=250, calls=calls)
+    trace = resolve_algorithm(name, HybridParams(
+        warmup_fes=30, stagnation_window=10, pso=PsoParams(pop_size=5)))(ds, ev, 12)
+    assert calls == list(range(ev.used)) == [f - 1 for f in trace.fes]
+    if name.startswith("sfe_"):
+        assert trace.handoff_fes is not None  # the spawned evaluator counted too
+
+
 # ----------------------------------------------------------- engine checks
 
 def engine_returning(result):

@@ -8,6 +8,7 @@ satisfy whatever the data: the trace has one entry per charged evaluation,
 the budget is spent (whole particle waves for the swarm searches), the
 best-so-far series never falls, the final mask has as many features as
 the last entry records, and a handoff never comes inside the warm-up.
+Early-abandoned scoring is checked against exact scoring of the same mask.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sfekit import (
+    BudgetExhausted,
     FitnessEvaluator,
     HybridParams,
     PsoParams,
@@ -136,3 +138,43 @@ def test_offer_keeps_the_first_mask_to_reach_the_running_best(offer):
     keep = trace.final_mask.copy()
     masks[:] = 1 - masks
     assert np.array_equal(trace.final_mask, keep)
+
+
+@st.composite
+def thresholds(draw):
+    n = draw(st.integers(10, 24))
+    d = draw(st.integers(1, 8))
+    ds = blob_dataset(n, d, seed=draw(st.integers(0, 2**16)), shift=1.0,
+                      informative=draw(st.integers(0, d)))
+    mask = draw(arrays(np.int8, d, elements=st.integers(0, 1)))
+    mask[draw(st.integers(0, d - 1))] = 1
+    # achievable pooled values hit the tie edge; others fall between them
+    at_least = draw(st.one_of(
+        st.integers(0, n).map(lambda j: 100.0 * j / n),
+        st.floats(-1.0, 101.0),
+    ))
+    return dict(ds=ds, mask=mask, at_least=at_least, folds=draw(st.integers(2, 4)),
+                knn_k=draw(st.sampled_from([1, 3])), fold_mean=draw(st.booleans()),
+                seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=thresholds())
+def test_evaluate_at_least_agrees_with_evaluate(case):
+    ds, mask, at_least = case["ds"], case["mask"], case["at_least"]
+    folds = stratified_kfold(ds, case["folds"], seed=case["seed"])
+    ev = FitnessEvaluator(ds, folds, knn_k=case["knn_k"], budget=2,
+                          fold_mean=case["fold_mean"])
+    exact = ev.evaluate(mask)
+    for at in (at_least, exact):  # the drawn threshold, then an exact tie
+        ev.used = 0
+        got = ev.evaluate_at_least(mask, at)
+        assert ev.used == 1
+        if exact >= at:
+            assert got == exact
+        else:
+            assert got < at
+    ev.used = ev.budget
+    with pytest.raises(BudgetExhausted):
+        ev.evaluate_at_least(mask, at_least)
+    assert ev._at_least is None
