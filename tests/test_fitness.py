@@ -12,7 +12,7 @@ from sfekit import (
     subset_columns,
 )
 from sfekit import fitness
-from sfekit.fitness import _predict
+from sfekit.fitness import _sq_dists, _vote
 
 from util import blob_dataset, constant_dataset, keyed_dataset
 
@@ -57,13 +57,13 @@ def oracle_cv_accuracy(ds, fold_of, k_folds, mask, knn_k=1, fold_mean=False):
     return 100.0 * correct_total / ds.n_instances
 
 
-# ---------------------------------------------------------------- _predict
+# ------------------------------------------------------- _sq_dists + _vote
 
 def knn_predict(train_x, train_y, query, k=1):
     """The evaluator's k-NN kernel on a single query row."""
     train_x = np.asarray(train_x, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
-    return int(_predict(query[None, :], train_x, np.asarray(train_y), k)[0])
+    return int(_vote(_sq_dists(query[None, :], train_x), np.asarray(train_y), k)[0])
 
 
 def test_knn_matches_oracle_randomized():
@@ -76,7 +76,7 @@ def test_knn_matches_oracle_randomized():
         queries = rng.integers(0, 5, size=(4, d)).astype(float)
         k = int(rng.integers(1, n + 1))
         # one call over a block of queries, as the evaluator makes per fold
-        assert _predict(queries, train, labels, k).tolist() == [
+        assert _vote(_sq_dists(queries, train), labels, k).tolist() == [
             oracle_predict(train, labels, q, k) for q in queries
         ]
 
@@ -257,14 +257,15 @@ def test_empty_test_fold_is_refused():
 
 # ------------------------------------------------------- evaluate_at_least
 
-def count_predict_calls(monkeypatch):
+def count_fold_votes(monkeypatch):
+    """Record the number of test rows of every fold the evaluator votes on."""
     calls = []
 
-    def counting(*args):
-        calls.append(1)
-        return _predict(*args)
+    def counting(d2, *args):
+        calls.append(len(d2))
+        return _vote(d2, *args)
 
-    monkeypatch.setattr(fitness, "_predict", counting)
+    monkeypatch.setattr(fitness, "_vote", counting)
     return calls
 
 
@@ -274,10 +275,11 @@ def test_at_least_returns_the_exact_value_at_a_tie(monkeypatch, fold_mean):
     ev, _ = evaluator(ds, budget=10, fold_mean=fold_mean)
     mask = np.array([1, 1, 0, 1, 0, 0])
     exact = ev.evaluate(mask)
-    calls = count_predict_calls(monkeypatch)
+    calls = count_fold_votes(monkeypatch)
     assert ev.evaluate_at_least(mask, exact) == exact
     assert ev.evaluate_at_least(mask, -np.inf) == exact
     assert len(calls) == 10  # both ran all five folds
+    assert sum(calls) == 2 * ds.n_instances  # and voted on every row once
     assert ev.used == 3
 
 
@@ -290,9 +292,9 @@ def test_at_least_abandons_after_the_first_fold_that_cannot_reach_it(
     mask = np.array([0, 1, 1, 1, 1, 1])
     exact = ev.evaluate(mask)
     assert exact < 100.0
-    calls = count_predict_calls(monkeypatch)
+    calls = count_fold_votes(monkeypatch)
     assert ev.evaluate_at_least(mask, 100.0) == -np.inf
-    assert len(calls) < 5
+    assert 1 <= len(calls) < 5
     # a threshold just above the exact value is missed by the full scoring too
     assert ev.evaluate_at_least(mask, np.nextafter(exact, np.inf)) == -np.inf
     assert ev.used == 3

@@ -8,26 +8,31 @@ satisfy whatever the data: the trace has one entry per charged evaluation,
 the budget is spent (whole particle waves for the swarm searches), the
 best-so-far series never falls, the final mask has as many features as
 the last entry records, and a handoff never comes inside the warm-up.
-Early-abandoned scoring is checked against exact scoring of the same mask.
+Early-abandoned scoring is checked against exact scoring of the same mask,
+and both against a direct per-fold k-NN cross-validation on hand-built
+folds.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sfekit import (
     BudgetExhausted,
+    Dataset,
     FitnessEvaluator,
+    FoldAssignment,
     HybridParams,
     PsoParams,
     SearchTrace,
     resolve_algorithm,
     stratified_kfold,
+    subset_columns,
 )
-from sfekit.fitness import _predict
+from sfekit.fitness import _sq_dists, _vote
 
 from test_fitness import oracle_predict
 from util import blob_dataset
@@ -108,7 +113,7 @@ def knn_queries(draw):
 @given(q=knn_queries())
 def test_knn_vote_matches_oracle(q):
     train, labels = q["train"], q["labels"]
-    assert _predict(q["queries"], train, labels, q["k"]).tolist() == [
+    assert _vote(_sq_dists(q["queries"], train), labels, q["k"]).tolist() == [
         oracle_predict(train, labels, row, q["k"]) for row in q["queries"]
     ]
 
@@ -178,3 +183,60 @@ def test_evaluate_at_least_agrees_with_evaluate(case):
     with pytest.raises(BudgetExhausted):
         ev.evaluate_at_least(mask, at_least)
     assert ev._at_least is None
+
+
+def per_fold_accuracy(ds, folds, mask, knn_k, fold_mean):
+    """Direct per-fold k-NN cross-validation: every fold computes the
+    distances from its test rows to all its training rows, then votes."""
+    Xs = ds.X[:, np.flatnonzero(mask)]
+    hits, sizes = [], []
+    for f in range(folds.k):
+        test, train = folds.test_indices(f), folds.train_indices(f)
+        pred = _vote(_sq_dists(Xs[test], Xs[train]), ds.y[train], knn_k)
+        hits.append(int(np.count_nonzero(pred == ds.y[test])))
+        sizes.append(test.size)
+    if fold_mean:
+        return 100.0 * float(np.mean([h / s for h, s in zip(hits, sizes)]))
+    return 100.0 * sum(hits) / ds.n_instances
+
+
+@st.composite
+def hand_folds(draw):
+    # folds of unequal size, interleaved in index order and blind to the
+    # labels, so sorting the rows by fold moves them about
+    n = draw(st.integers(6, 20))
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 4))
+    fold = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    fold[draw(st.permutations(range(n)))[:k]] = np.arange(k)  # no empty fold
+    knn_k = draw(st.sampled_from([1, 3]))
+    assume(knn_k <= n - np.bincount(fold).max())
+    if draw(st.booleans()):  # small integers: distances and votes tie often
+        X = draw(arrays(np.float64, (n, d), elements=st.integers(0, 3).map(float)))
+    else:
+        X = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(n, d))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, draw(st.integers(1, 2)))))
+    mask = draw(arrays(np.int8, d, elements=st.integers(0, 1)))
+    mask[draw(st.integers(0, d - 1))] = 1
+    return dict(ds=Dataset(X=X, y=y, feature_ids=np.arange(d)),
+                folds=FoldAssignment(fold_of_instance=fold, k=k), mask=mask,
+                knn_k=knn_k, fold_mean=draw(st.booleans()),
+                at_least=100.0 * draw(st.integers(0, n)) / n,
+                columns=draw(arrays(np.int8, d, elements=st.integers(0, 1))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=hand_folds())
+def test_evaluate_matches_the_direct_per_fold_kernel(case):
+    ds, folds, mask, at_least = case["ds"], case["folds"], case["mask"], case["at_least"]
+    columns = case["columns"] | mask  # a column subset that keeps the mask
+    reduced = subset_columns(ds, columns)
+    ev = FitnessEvaluator(ds, folds, knn_k=case["knn_k"], budget=4,
+                          fold_mean=case["fold_mean"])
+    child = ev.spawn(reduced)
+    for evaluator, data, m in ((ev, ds, mask),
+                               (child, reduced, mask[np.flatnonzero(columns)])):
+        want = per_fold_accuracy(data, folds, m, case["knn_k"], case["fold_mean"])
+        assert evaluator.evaluate(m) == want
+        assert evaluator.evaluate_at_least(m, at_least) == (
+            want if want >= at_least else -np.inf)
