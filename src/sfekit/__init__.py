@@ -5,7 +5,7 @@ stagnation-triggered hybrid) over a budgeted k-NN cross-validation
 fitness, plus the statistics and batch harness used to benchmark them.
 """
 
-from .bpso import PsoParams, position_update, pso_search, sigmoid, velocity_update
+from .bpso import PsoParams, pso_search
 from .config import ConfigError, DatasetSpec, ExperimentConfig, load_config, write_config
 from .dataset import (
     Dataset,
@@ -35,16 +35,8 @@ from .hybrid import (
     sfe_pso_search,
     stagnation_check,
 )
-from .rng import as_generator, derive_seed
-from .sfe import (
-    SfeParams,
-    compute_un,
-    non_selection,
-    random_mask,
-    selection,
-    sfe_search,
-    ur_schedule,
-)
+from .rng import derive_seed
+from .sfe import SfeParams, sfe_search
 from .stats import Mark, friedman_mean_ranks, wilcoxon_ranksum
 from .trace import SearchTrace
 
@@ -67,9 +59,7 @@ __all__ = [
     "RunResult",
     "SearchTrace",
     "SfeParams",
-    "as_generator",
     "build_report",
-    "compute_un",
     "derive_seed",
     "emit_convergence",
     "format_report",
@@ -78,23 +68,16 @@ __all__ = [
     "load_config",
     "load_csv",
     "load_runs",
-    "non_selection",
-    "position_update",
     "pso_search",
-    "random_mask",
     "resolve_algorithm",
     "resolve_engine",
     "run_experiment",
-    "selection",
     "sfe_ec_search",
     "sfe_pso_search",
     "sfe_search",
-    "sigmoid",
     "stagnation_check",
     "stratified_kfold",
     "subset_columns",
-    "ur_schedule",
-    "velocity_update",
     "wilcoxon_ranksum",
     "write_config",
 ]

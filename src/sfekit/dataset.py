@@ -1,15 +1,13 @@
 """Tabular classification datasets and stratified cross-validation folds.
 
 A dataset is a dense float64 matrix plus integer-coded class labels.
-Feature identity is tracked through column subsetting so that a mask found
-on a reduced view can always be reported in terms of the original columns.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,7 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable instance matrix with labels and feature provenance.
+    """Immutable instance matrix with integer-coded class labels.
 
     Attributes
     ----------
@@ -38,40 +36,24 @@ class Dataset:
         Feature values, one row per instance.
     y : ndarray, shape (n_instances,), int64
         Class labels coded as 0..C-1 in order of first appearance.
-    feature_ids : ndarray, shape (n_features,), int64
-        Original column index of each feature. ``arange(n_features)`` for a
-        freshly loaded dataset; mapped through by `subset_columns`.
-    label_names : tuple of str, optional
-        Original label tokens, indexed by class code.
-    feature_names : tuple of str, optional
-        Column names from the CSV header, when one was present.
     """
 
     X: np.ndarray
     y: np.ndarray
-    feature_ids: np.ndarray
-    label_names: tuple = None
-    feature_names: tuple = None
-    name: str = ""
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.int64)
-        fid = np.asarray(self.feature_ids, dtype=np.int64)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise DatasetError("X must be a non-empty 2-D matrix")
         if y.shape != (X.shape[0],):
             raise DatasetError("y must have one label per instance")
-        if fid.shape != (X.shape[1],):
-            raise DatasetError("feature_ids must have one entry per column")
         if not np.all(np.isfinite(X)):
             r, c = np.argwhere(~np.isfinite(X))[0]
             raise DatasetError(f"non-finite value at instance {r}, feature column {c}")
-        if np.any(np.diff(fid) <= 0):
-            raise DatasetError("feature_ids must be strictly increasing")
         if np.any(y < 0):
             raise DatasetError("labels must be non-negative class codes")
-        for arr, key in ((X, "X"), (y, "y"), (fid, "feature_ids")):
+        for arr, key in ((X, "X"), (y, "y")):
             arr.setflags(write=False)
             object.__setattr__(self, key, arr)
 
@@ -139,7 +121,7 @@ def _parse_label_column(path, label_col, header, n_cols):
     return idx
 
 
-def load_csv(path, label_col=-1, has_header: bool = False, name: str = "") -> Dataset:
+def load_csv(path, label_col=-1, has_header: bool = False) -> Dataset:
     """Load a classification dataset from a CSV file.
 
     Parameters
@@ -151,83 +133,76 @@ def load_csv(path, label_col=-1, has_header: bool = False, name: str = "") -> Da
         from the end) or as a header name when ``has_header`` is true.
     has_header : bool
         Whether the first row is a header and should not be parsed as data.
-    name : str
-        Optional display name; defaults to the file stem.
 
     Labels may be arbitrary tokens and are integer-coded in order of first
     appearance. Every other cell must parse as a finite float; parse errors
     report the offending row and column (1-based, counting the header).
+    The file is read in one pass, converting each row as it arrives.
     """
-    rows = []
+    try:
+        with open(path, newline="") as fh:
+            return _read_rows(path, (row for row in csv.reader(fh) if row),
+                              label_col, has_header)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+
+
+def _read_rows(path, rows, label_col, has_header) -> Dataset:
     header = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            rows.append(row)
     if has_header:
-        if not rows:
+        header = next(rows, None)
+        if header is None:
             raise DatasetError(f"{path}: empty file")
-        header = [c.strip() for c in rows.pop(0)]
-    if not rows:
+        header = [c.strip() for c in header]
+    first = next(rows, None)
+    if first is None:
         raise DatasetError(f"{path}: no data rows")
 
-    n_cols = len(rows[0])
+    n_cols = len(first)
     if n_cols < 2:
         raise DatasetError(f"{path}: need at least one feature column plus a label column")
+    if header is not None and len(header) != n_cols:
+        raise DatasetError(
+            f"{path}: header has {len(header)} columns but the data rows have {n_cols}"
+        )
     lbl = _parse_label_column(path, label_col, header, n_cols)
 
-    n = len(rows)
-    X = np.empty((n, n_cols - 1), dtype=np.float64)
-    tokens = []
-    offset = 2 if has_header else 1  # 1-based file line of the first data row
-    for i, row in enumerate(rows):
+    # Labels are coded by first appearance so the coding never depends on token order.
+    code, y, X = {}, [], []
+    offset = 2 if has_header else 1  # 1-based row number of the first data row
+    for i, row in enumerate(itertools.chain([first], rows)):
         if len(row) != n_cols:
             raise DatasetError(
                 f"{path}: row {i + offset} has {len(row)} columns, expected {n_cols}"
             )
-        lab = row[lbl].strip()
-        if lab == "":
+        label = row.pop(lbl).strip()
+        if label == "":
             raise DatasetError(f"{path}: row {i + offset} has an empty label")
-        tokens.append(lab)
-        j_out = 0
-        for j, cell in enumerate(row):
-            if j == lbl:
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: row {i + offset}, column {j + 1}: "
-                    f"cannot parse {cell.strip()!r} as a number"
-                ) from None
-            if not math.isfinite(v):
-                raise DatasetError(
-                    f"{path}: row {i + offset}, column {j + 1}: non-finite value {cell.strip()!r}"
-                )
-            X[i, j_out] = v
-            j_out += 1
+        y.append(code.setdefault(label, len(code)))
+        try:
+            values = np.array(row, dtype=np.float64)  # numpy converts a str as float() does
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            values = _parse_cells(path, i + offset, row, lbl)
+        X.append(values)
+    return Dataset(X=np.vstack(X), y=y)
 
-    # Code labels by first appearance so the coding never depends on token order.
-    code = {}
-    y = np.empty(n, dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        if tok not in code:
-            code[tok] = len(code)
-        y[i] = code[tok]
 
-    feature_names = None
-    if header is not None:
-        feature_names = tuple(h for j, h in enumerate(header) if j != lbl)
-    return Dataset(
-        X=X,
-        y=y,
-        feature_ids=np.arange(n_cols - 1),
-        label_names=tuple(code),
-        feature_names=feature_names,
-        name=name or os.path.splitext(os.path.basename(str(path)))[0],
-    )
+def _parse_cells(path, row_number, cells, lbl) -> np.ndarray:
+    """Convert ``cells`` one by one with `float`, refusing the first cell
+    that does not parse or is not finite. Columns are counted in the file,
+    so the label column ``lbl`` is skipped over."""
+    values = np.empty(len(cells))
+    for j, cell in enumerate(cells):
+        where = f"{path}: row {row_number}, column {j + (j >= lbl) + 1}"
+        try:
+            values[j] = float(cell)
+        except ValueError:
+            raise DatasetError(f"{where}: cannot parse {cell.strip()!r} as a number") from None
+        if not math.isfinite(values[j]):
+            raise DatasetError(f"{where}: non-finite value {cell.strip()!r}")
+    return values
 
 
 def stratified_kfold(ds: Dataset, k: int, seed) -> FoldAssignment:
@@ -262,25 +237,11 @@ def stratified_kfold(ds: Dataset, k: int, seed) -> FoldAssignment:
 
 
 def subset_columns(ds: Dataset, mask) -> Dataset:
-    """Restrict a dataset to the columns where ``mask`` is nonzero.
-
-    ``feature_ids`` of the result point back at the columns of the dataset
-    that ``ds`` itself was derived from, so subsetting composes.
-    """
+    """Restrict a dataset to the columns where ``mask`` is nonzero."""
     m = np.asarray(mask)
     if m.shape != (ds.n_features,):
         raise DatasetError(f"mask length {m.size} does not match {ds.n_features} features")
     sel = np.flatnonzero(m)
     if sel.size == 0:
         raise DatasetError("mask selects no columns")
-    names = None
-    if ds.feature_names is not None:
-        names = tuple(ds.feature_names[j] for j in sel)
-    return Dataset(
-        X=ds.X[:, sel],
-        y=ds.y,
-        feature_ids=ds.feature_ids[sel],
-        label_names=ds.label_names,
-        feature_names=names,
-        name=ds.name,
-    )
+    return Dataset(X=ds.X[:, sel], y=ds.y)

@@ -121,7 +121,7 @@ def _run_cell(args) -> RunResult:
             wall_time_s=time.perf_counter() - t0,
         )
     wall = time.perf_counter() - t0
-    sel = ds.feature_ids[np.flatnonzero(trace.final_mask)]
+    sel = np.flatnonzero(trace.final_mask)
     return RunResult(
         **run._asdict(),
         ok=True,
@@ -204,8 +204,7 @@ def _load_dataset(cfg: ExperimentConfig, spec: DatasetSpec) -> Dataset:
     counts, and one split decides for every fold seed."""
     if not os.path.isfile(spec.path):
         raise ConfigError(f"dataset {spec.name!r}: file not found: {spec.path}")
-    ds = load_csv(spec.path, label_col=spec.label_col, has_header=spec.has_header,
-                  name=spec.name)
+    ds = load_csv(spec.path, label_col=spec.label_col, has_header=spec.has_header)
     try:
         FitnessEvaluator(ds, stratified_kfold(ds, cfg.folds, 0), knn_k=cfg.knn_k)
     except ValueError as exc:

@@ -25,20 +25,17 @@ from sfekit import (
     Mark,
     PsoParams,
     SfeParams,
-    compute_un,
     friedman_mean_ranks,
     load_csv,
-    non_selection,
     pso_search,
     run_experiment,
-    selection,
     sfe_pso_search,
     sfe_search,
     stratified_kfold,
-    ur_schedule,
     wilcoxon_ranksum,
 )
 from sfekit.harness import _report_to_json
+from sfekit.sfe import compute_un, non_selection, selection, ur_schedule
 
 from util import blob_dataset, constant_dataset, keyed_dataset, write_dataset_csv
 
@@ -210,7 +207,7 @@ def colon_runs():
     except ValueError:
         pass
     header = os.environ.get("SFEKIT_COLON_HEADER", "0").lower() in ("1", "true", "yes", "on")
-    ds = load_csv(path, label_col=label_col, has_header=header, name="colon")
+    ds = load_csv(path, label_col=label_col, has_header=header)
     assert (ds.n_instances, ds.n_features) == (62, 2000), \
         f"expected the 62x2000 Colon matrix, got {ds.n_instances}x{ds.n_features}"
 
@@ -356,7 +353,7 @@ def strip_timing(obj):
 
 def test_criterion_9_rerun_determinism(tmp_path):
     csv = tmp_path / "alpha.csv"
-    write_dataset_csv(csv, blob_dataset(25, 10, seed=2, name="alpha"))
+    write_dataset_csv(csv, blob_dataset(25, 10, seed=2))
     cfg = ExperimentConfig(
         algorithms=("sfe", "bpso", "sfe_pso"),
         datasets=(DatasetSpec(name="alpha", path=str(csv)),),
@@ -373,9 +370,9 @@ def test_criterion_9_rerun_determinism(tmp_path):
         for r in range(cfg.runs):
             rel = os.path.join("runs", "alpha", algo, f"run_{r:04d}.jsonl")
             recs1 = [strip_timing(json.loads(line))
-                     for line in open(tmp_path / "one" / rel)]
+                     for line in (tmp_path / "one" / rel).read_text().splitlines()]
             recs2 = [strip_timing(json.loads(line))
-                     for line in open(tmp_path / "two" / rel)]
+                     for line in (tmp_path / "two" / rel).read_text().splitlines()]
             if recs1 != recs2:
                 traces_equal = False
     ok = reports_equal and traces_equal

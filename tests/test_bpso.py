@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sfekit import (
-    FitnessEvaluator,
-    PsoParams,
-    position_update,
-    pso_search,
-    sigmoid,
-    stratified_kfold,
-    velocity_update,
-)
-from sfekit.bpso import _repair_zero_rows
+from sfekit import FitnessEvaluator, PsoParams, pso_search, stratified_kfold
+from sfekit.bpso import _repair_zero_rows, position_update, sigmoid, velocity_update
 
 from util import blob_dataset, constant_dataset
 

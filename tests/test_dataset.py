@@ -18,11 +18,8 @@ def write(path, text):
 def test_load_csv_codes_labels_by_first_appearance(tmp_path):
     p = write(tmp_path / "d.csv", "1,2,b\n3,4,a\n5,6,b\n7,8,c\n")
     ds = load_csv(p)
-    assert ds.label_names == ("b", "a", "c")
     assert ds.y.tolist() == [0, 1, 0, 2]
     assert ds.X.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
-    assert ds.feature_ids.tolist() == [0, 1]
-    assert ds.name == "d"
 
 
 def test_load_csv_label_column_by_index_and_name(tmp_path):
@@ -30,14 +27,12 @@ def test_load_csv_label_column_by_index_and_name(tmp_path):
     by_name = load_csv(p, label_col="cls", has_header=True)
     by_index = load_csv(p, label_col=0, has_header=True)
     assert by_name.X.tolist() == by_index.X.tolist() == [[1, 2], [3, 4]]
-    assert by_name.feature_names == ("f1", "f2")
 
 
 def test_load_csv_negative_label_col_counts_from_end(tmp_path):
     p = write(tmp_path / "d.csv", "1,2,7\n3,4,8\n")
     ds = load_csv(p, label_col=-1)
     assert ds.X.tolist() == [[1, 2], [3, 4]]
-    assert ds.label_names == ("7", "8")
 
 
 def test_load_csv_label_name_requires_header(tmp_path):
@@ -98,7 +93,24 @@ def test_load_csv_header_row_not_parsed_as_data(tmp_path):
     p = write(tmp_path / "d.csv", "f1,f2,cls\n1,2,a\n3,4,b\n")
     ds = load_csv(p, label_col="cls", has_header=True)
     assert ds.n_instances == 2
-    assert ds.feature_names == ("f1", "f2")
+
+
+def test_load_csv_refuses_a_header_of_another_width(tmp_path):
+    p = write(tmp_path / "d.csv", "f1,f2,f3,cls\n1,2,7\n")
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{p}: header has 4 columns but the data rows have 3")):
+        load_csv(p, label_col="cls", has_header=True)
+    p2 = write(tmp_path / "e.csv", "cls,f1\nx,1,2\n")
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{p2}: header has 2 columns but the data rows have 3")):
+        load_csv(p2, label_col="cls", has_header=True)
+
+
+def test_load_csv_names_a_file_it_cannot_decode(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"1,2,a\n3,\xff,b\n")
+    with pytest.raises(DatasetError, match="^" + re.escape(f"{p}: ")):
+        load_csv(p)
 
 
 # ---------------------------------------------------------------- Dataset
@@ -106,17 +118,13 @@ def test_load_csv_header_row_not_parsed_as_data(tmp_path):
 def test_dataset_rejects_non_finite():
     X = np.array([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(DatasetError, match="non-finite"):
-        Dataset(X=X, y=np.array([0, 1]), feature_ids=np.arange(2))
+        Dataset(X=X, y=np.array([0, 1]))
 
 
 def test_dataset_rejects_shape_mismatches():
     X = np.ones((3, 2))
     with pytest.raises(DatasetError):
-        Dataset(X=X, y=np.array([0, 1]), feature_ids=np.arange(2))
-    with pytest.raises(DatasetError):
-        Dataset(X=X, y=np.array([0, 1, 0]), feature_ids=np.arange(3))
-    with pytest.raises(DatasetError, match="strictly increasing"):
-        Dataset(X=X, y=np.array([0, 1, 0]), feature_ids=np.array([1, 1]))
+        Dataset(X=X, y=np.array([0, 1]))
 
 
 def test_dataset_is_immutable():
@@ -141,8 +149,7 @@ def test_kfold_balanced_classes_split_exactly():
 
 def test_kfold_uneven_class_round_robin():
     # 7 instances of a single class over 5 folds -> sizes {2, 2, 1, 1, 1}
-    ds = Dataset(X=np.arange(7.0)[:, None], y=np.zeros(7, dtype=int),
-                 feature_ids=np.arange(1))
+    ds = Dataset(X=np.arange(7.0)[:, None], y=np.zeros(7, dtype=int))
     folds = stratified_kfold(ds, 5, seed=3)
     sizes = sorted(folds.test_indices(f).size for f in range(5))
     assert sizes == [1, 1, 1, 2, 2]
@@ -173,7 +180,7 @@ def test_kfold_errors():
         stratified_kfold(ds, 1, seed=0)
     with pytest.raises(DatasetError, match="exceeds"):
         stratified_kfold(ds, 11, seed=0)
-    lone = Dataset(X=np.ones((3, 2)), y=np.array([0, 0, 1]), feature_ids=np.arange(2))
+    lone = Dataset(X=np.ones((3, 2)), y=np.array([0, 0, 1]))
     with pytest.raises(DatasetError, match="single instance"):
         stratified_kfold(lone, 2, seed=0)
 
@@ -181,15 +188,13 @@ def test_kfold_errors():
 def test_kfold_refuses_more_folds_than_the_largest_class():
     # two classes of 3: dealing each class round-robin from fold 0 would
     # leave folds 3 and 4 empty, and an empty test fold has no accuracy
-    ds = Dataset(X=np.arange(6.0)[:, None], y=np.array([0, 1, 0, 1, 0, 1]),
-                 feature_ids=np.arange(1))
+    ds = Dataset(X=np.arange(6.0)[:, None], y=np.array([0, 1, 0, 1, 0, 1]))
     with pytest.raises(DatasetError, match=r"k=5 exceeds the largest class \(3 "):
         stratified_kfold(ds, 5, seed=0)
     folds = stratified_kfold(ds, 3, seed=0)
     assert [folds.test_indices(f).size for f in range(3)] == [2, 2, 2]
     # one class large enough is all it takes for every fold to get a row
-    skewed = Dataset(X=np.arange(7.0)[:, None], y=np.array([0, 0, 0, 0, 0, 1, 1]),
-                     feature_ids=np.arange(1))
+    skewed = Dataset(X=np.arange(7.0)[:, None], y=np.array([0, 0, 0, 0, 0, 1, 1]))
     folds = stratified_kfold(skewed, 5, seed=0)
     assert all(folds.test_indices(f).size > 0 for f in range(5))
 
@@ -200,15 +205,12 @@ def test_subset_identity_mask():
     ds = blob_dataset(12, 5, seed=4)
     sub = subset_columns(ds, np.ones(5, dtype=int))
     assert np.array_equal(sub.X, ds.X)
-    assert np.array_equal(sub.feature_ids, ds.feature_ids)
 
 
-def test_subset_maps_feature_ids_through():
+def test_subset_of_a_subset_selects_parent_columns():
     ds = blob_dataset(8, 5, seed=4)
     first = subset_columns(ds, np.array([1, 0, 1, 1, 0]))
-    assert first.feature_ids.tolist() == [0, 2, 3]
     second = subset_columns(first, np.array([0, 1, 1]))
-    assert second.feature_ids.tolist() == [2, 3]
     assert np.array_equal(second.X, ds.X[:, [2, 3]])
 
 
@@ -226,7 +228,6 @@ def test_subset_composition_property():
         twice = subset_columns(sub, m2)
         direct = np.zeros(12, dtype=int)
         direct[np.flatnonzero(m1)[np.flatnonzero(m2)]] = 1
-        assert np.array_equal(twice.feature_ids, np.flatnonzero(direct))
         assert np.array_equal(twice.X, ds.X[:, np.flatnonzero(direct)])
 
 
@@ -236,12 +237,3 @@ def test_subset_errors():
         subset_columns(ds, np.zeros(4, dtype=int))
     with pytest.raises(DatasetError, match="length"):
         subset_columns(ds, np.ones(3, dtype=int))
-
-
-def test_subset_keeps_names(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("f1,f2,f3,cls\n1,2,3,a\n4,5,6,b\n")
-    ds = load_csv(str(p), label_col="cls", has_header=True)
-    sub = subset_columns(ds, np.array([1, 0, 1]))
-    assert sub.feature_names == ("f1", "f3")
-    assert sub.label_names == ("a", "b")

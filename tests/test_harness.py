@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ from util import blob_dataset, write_dataset_csv
 def corpus(tmp_path):
     pa = tmp_path / "alpha.csv"
     pb = tmp_path / "beta.csv"
-    write_dataset_csv(pa, blob_dataset(25, 10, seed=2, name="alpha"))
-    write_dataset_csv(pb, blob_dataset(24, 8, seed=5, name="beta"))
+    write_dataset_csv(pa, blob_dataset(25, 10, seed=2))
+    write_dataset_csv(pb, blob_dataset(24, 8, seed=5))
     return tmp_path, str(pa), str(pb)
 
 
@@ -179,7 +180,7 @@ def test_config_snapshot_golden(tmp_path):
 
 
 def test_readme_ini_example_loads(tmp_path):
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = Path(__file__).parent.parent.joinpath("README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     ini = tmp_path / "exp.ini"
     ini.write_text(block)
@@ -545,14 +546,14 @@ def test_emit_convergence_curves(corpus, tmp_path):
         "alpha__bpso.csv", "alpha__sfe.csv",
     ]
     for path in written:
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "fes,mean_best_accuracy,mean_selected"
         body = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in body] == list(range(1, len(body) + 1))
         acc = [float(r[1]) for r in body]
         assert all(a <= b for a, b in zip(acc, acc[1:]))
         assert all(np.isfinite(float(r[2])) for r in body)
-    assert len(open(written[1]).read().splitlines()) == 41  # sfe spends all 40
+    assert len(Path(written[1]).read_text().splitlines()) == 41  # sfe spends all 40
 
 
 # --------------------------------------------------------------------- cli
@@ -621,7 +622,7 @@ def test_cli_algo_and_dataset_filters(corpus, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["run", "--config", ini, "--out", out,
                  "--algo", "sfe", "--dataset", "beta"]) == 0
-    payload = json.loads(open(os.path.join(out, "report.json")).read())
+    payload = json.loads(Path(out, "report.json").read_text())
     assert payload["algorithms"] == ["sfe"]
     assert payload["datasets"] == ["beta"]
 
@@ -629,12 +630,12 @@ def test_cli_algo_and_dataset_filters(corpus, tmp_path, capsys):
 def test_cli_adhoc_csv_dataset(corpus, tmp_path, capsys):
     root, pa, _ = corpus
     extra = tmp_path / "extra.csv"
-    write_dataset_csv(extra, blob_dataset(20, 6, seed=9, name="extra"))
+    write_dataset_csv(extra, blob_dataset(20, 6, seed=9))
     ini = write_ini(root, pa)
     out = str(tmp_path / "out")
     assert main(["run", "--config", ini, "--out", out, "--algo", "sfe",
                  "--dataset", str(extra)]) == 0
-    payload = json.loads(open(os.path.join(out, "report.json")).read())
+    payload = json.loads(Path(out, "report.json").read_text())
     assert payload["datasets"] == ["extra"]
 
     # config.ini strips section names, so the ad-hoc name is stripped as well
@@ -648,7 +649,8 @@ def test_cli_adhoc_csv_dataset(corpus, tmp_path, capsys):
 
     # load_csv strips the header cells, so the label name is stripped too
     headed = tmp_path / "headed.csv"
-    body = open(write_dataset_csv(headed, blob_dataset(20, 6, seed=9), label_last=False)).read()
+    write_dataset_csv(headed, blob_dataset(20, 6, seed=9), label_last=False)
+    body = headed.read_text()
     headed.write_text("cls," + ",".join(f"f{j}" for j in range(6)) + "\n" + body)
     out = str(tmp_path / "out_headed")
     assert main(["run", "--config", ini, "--out", out, "--algo", "sfe", "--runs", "1",
@@ -676,7 +678,7 @@ def test_cli_runs_selected_datasets_while_another_file_is_missing(corpus, tmp_pa
     out = str(tmp_path / "out")
     assert main(["run", "--config", ini, "--out", out, "--runs", "1",
                  "--dataset", "alpha"]) == 0
-    assert json.loads(open(os.path.join(out, "report.json")).read())["datasets"] == ["alpha"]
+    assert json.loads(Path(out, "report.json").read_text())["datasets"] == ["alpha"]
     capsys.readouterr()
     # the full matrix opens the missing file, and is refused before any write
     whole = str(tmp_path / "whole")
@@ -707,6 +709,19 @@ def test_cli_failure_exit_code(corpus, tmp_path, capsys):
     assert main(["run", "--config", str(ini), "--out", str(tmp_path / "lonely")]) == 2
     assert "dataset 'lonely': class 1 has a single instance" in capsys.readouterr().err
     assert not (tmp_path / "lonely").exists()
+
+
+def test_cli_refuses_a_header_of_another_width(corpus, tmp_path, capsys):
+    root, pa, _ = corpus
+    headed = tmp_path / "headed.csv"
+    headed.write_text("f1,f2,f3,cls\n1,2,7\n3,4,8\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--config", write_ini(root, pa), "--out", str(out), "--algo", "sfe",
+                 "--dataset", str(headed), "--header", "--label-col", "cls"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {headed}: header has 4 columns but the data rows have 3\n")
+    assert not out.exists()
 
 
 def test_cli_report_and_converge_read_only_the_configured_runs(corpus, tmp_path, capsys):

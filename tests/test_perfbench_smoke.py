@@ -8,7 +8,6 @@ No timing is checked.
 import os
 import sys
 
-import numpy as np
 import pytest
 
 from sfekit import Dataset, HybridParams, load_config, load_csv, stratified_kfold
@@ -24,7 +23,7 @@ SHAPE = datagen.Shape(n=30, d=40, informative=5, shift=1.0)
 @pytest.fixture(scope="module")
 def data():
     X, y = datagen.planted(SHAPE, seed=7)
-    ds = Dataset(X=X, y=y, feature_ids=np.arange(SHAPE.d), name="smoke")
+    ds = Dataset(X=X, y=y)
     return [(ds, stratified_kfold(ds, workloads.FOLDS, seed=1))]
 
 
@@ -53,7 +52,7 @@ def test_matrix_iteration(tmp_path):
         "[hybrid]\nwarmup_fes = 40\nstagnation_window = 20\n" + "".join(specs)
     )
     cfg = load_config(str(ini))
-    datasets = {s.name: load_csv(s.path, name=s.name) for s in cfg.datasets}
+    datasets = {s.name: load_csv(s.path) for s in cfg.datasets}
     it = workloads.matrix_iteration(0, str(ini), cfg, datasets, str(tmp_path),
                                     False, Tracer(), None)
     assert len(it.records) == 4

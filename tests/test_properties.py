@@ -10,24 +10,30 @@ best-so-far series never falls, the final mask has as many features as
 the last entry records, and a handoff never comes inside the warm-up.
 Early-abandoned scoring is checked against exact scoring of the same mask,
 and both against a direct per-fold k-NN cross-validation on hand-built
-folds.
+folds. `load_csv` is checked against a per-cell `float()` reader.
 """
+
+import csv
+import io
+import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sfekit import (
     BudgetExhausted,
     Dataset,
+    DatasetError,
     FitnessEvaluator,
     FoldAssignment,
     HybridParams,
     PsoParams,
     SearchTrace,
+    load_csv,
     resolve_algorithm,
     stratified_kfold,
     subset_columns,
@@ -218,7 +224,7 @@ def hand_folds(draw):
     y = draw(arrays(np.int64, n, elements=st.integers(0, draw(st.integers(1, 2)))))
     mask = draw(arrays(np.int8, d, elements=st.integers(0, 1)))
     mask[draw(st.integers(0, d - 1))] = 1
-    return dict(ds=Dataset(X=X, y=y, feature_ids=np.arange(d)),
+    return dict(ds=Dataset(X=X, y=y),
                 folds=FoldAssignment(fold_of_instance=fold, k=k), mask=mask,
                 knn_k=knn_k, fold_mean=draw(st.booleans()),
                 at_least=100.0 * draw(st.integers(0, n)) / n,
@@ -240,3 +246,80 @@ def test_evaluate_matches_the_direct_per_fold_kernel(case):
         assert evaluator.evaluate(m) == want
         assert evaluator.evaluate_at_least(m, at_least) == (
             want if want >= at_least else -np.inf)
+
+
+def float_reader(path, label_col, has_header):
+    """(X, y) of a well-formed CSV file, parsed one cell at a time with
+    `float()`, or the `DatasetError` `load_csv` must raise for a bad cell."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header = [c.strip() for c in rows.pop(0)] if has_header else None
+    lbl = header.index(label_col) if header else label_col % len(rows[0])
+    X, y, code = [], [], {}
+    for i, row in enumerate(rows, 2 if has_header else 1):
+        y.append(code.setdefault(row[lbl].strip(), len(code)))
+        X.append([])
+        for j, cell in enumerate(row):
+            if j == lbl:
+                continue
+            where = f"{path}: row {i}, column {j + 1}"
+            try:
+                value = float(cell)
+            except ValueError:
+                return DatasetError(f"{where}: cannot parse {cell.strip()!r} as a number")
+            if not math.isfinite(value):
+                return DatasetError(f"{where}: non-finite value {cell.strip()!r}")
+            X[-1].append(value)
+    return np.array(X), np.array(y)
+
+
+@st.composite
+def csv_files(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    lbl = draw(st.integers(0, d))
+    fmt = draw(st.sampled_from([repr, lambda v: "%.9g" % v]))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    values = st.floats(allow_nan=False, allow_infinity=False).map(fmt)
+    # labels strip to something non-empty; commas and quotes need csv quoting
+    tokens = draw(st.lists(st.text('ab,é中" ', min_size=1).filter(str.strip),
+                           min_size=1, max_size=3))
+    rows = []
+    for _ in range(n):
+        row = [draw(pad) + draw(values) + draw(pad) for _ in range(d)]
+        row.insert(lbl, draw(pad) + draw(st.sampled_from(tokens)) + draw(pad))
+        rows.append(row)
+    if draw(st.booleans()):  # one bad cell, never in the label column
+        j = draw(st.integers(0, d - 1))
+        rows[draw(st.integers(0, n - 1))][j + (j >= lbl)] = draw(
+            st.sampled_from(["oops", "nan", "inf", ""]))
+    has_header = draw(st.booleans())
+    if has_header:
+        rows.insert(0, [f" f{j} " for j in range(d + 1)])
+        rows[0][lbl] = " cls"
+    label_col = "cls" if has_header else draw(st.sampled_from([lbl, lbl - d - 1]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n",
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    for row in rows:
+        writer.writerow(row)
+        out.write("\n" * draw(st.integers(0, 2)))  # blank lines are skipped
+    return out.getvalue(), label_col, has_header
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_files())
+def test_load_csv_matches_a_per_cell_float_reader(case, tmp_path):
+    text, label_col, has_header = case
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    want = float_reader(path, label_col, has_header)
+    if isinstance(want, DatasetError):
+        with pytest.raises(DatasetError) as got:
+            load_csv(path, label_col=label_col, has_header=has_header)
+        assert str(got.value) == str(want)
+    else:
+        ds = load_csv(path, label_col=label_col, has_header=has_header)
+        assert ds.X.tobytes() == want[0].tobytes()
+        assert ds.y.tolist() == want[1].tolist()

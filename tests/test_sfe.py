@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
 
-from sfekit import (
-    FitnessEvaluator,
-    SfeParams,
-    compute_un,
-    non_selection,
-    random_mask,
-    selection,
-    sfe_search,
-    stratified_kfold,
-    ur_schedule,
-)
+from sfekit import FitnessEvaluator, SfeParams, sfe_search, stratified_kfold
+from sfekit.sfe import compute_un, non_selection, random_mask, selection, ur_schedule
 
 from util import blob_dataset, constant_dataset, keyed_dataset
 

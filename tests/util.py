@@ -5,7 +5,7 @@ import numpy as np
 from sfekit import Dataset
 
 
-def blob_dataset(n, d, n_classes=2, seed=0, shift=2.5, informative=3, name="blob"):
+def blob_dataset(n, d, n_classes=2, seed=0, shift=2.5, informative=3):
     """Gaussian noise with a class-dependent shift in the first few columns."""
     rng = np.random.default_rng(seed)
     y = np.arange(n) % n_classes
@@ -13,10 +13,10 @@ def blob_dataset(n, d, n_classes=2, seed=0, shift=2.5, informative=3, name="blob
     X = rng.normal(0.0, 1.0, size=(n, d))
     for j in range(min(informative, d)):
         X[:, j] += shift * y
-    return Dataset(X=X, y=y, feature_ids=np.arange(d), name=name)
+    return Dataset(X=X, y=y)
 
 
-def keyed_dataset(n, d, key_cols, seed=0, key_scale=20.0, name="keyed"):
+def keyed_dataset(n, d, key_cols, seed=0, key_scale=20.0):
     """Two classes separated deterministically in ``key_cols``.
 
     Noise columns are uniform in [0, 1), so even over all of them the
@@ -31,14 +31,14 @@ def keyed_dataset(n, d, key_cols, seed=0, key_scale=20.0, name="keyed"):
     X = rng.random((n, d))
     for j in key_cols:
         X[:, j] = y * key_scale + rng.uniform(-0.1, 0.1, size=n)
-    return Dataset(X=X, y=y, feature_ids=np.arange(d), name=name)
+    return Dataset(X=X, y=y)
 
 
-def constant_dataset(n=20, d=10, name="flat"):
+def constant_dataset(n=20, d=10):
     """Every feature is constant, so every mask has identical fitness."""
     X = np.zeros((n, d))
     y = np.arange(n) % 2
-    return Dataset(X=X, y=y, feature_ids=np.arange(d), name=name)
+    return Dataset(X=X, y=y)
 
 
 def write_dataset_csv(path, ds, label_last=True):
