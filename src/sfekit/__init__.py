@@ -20,6 +20,7 @@ from .harness import (
     ExperimentReport,
     RunResult,
     build_report,
+    derive_seed,
     emit_convergence,
     format_report,
     load_runs,
@@ -35,7 +36,6 @@ from .hybrid import (
     sfe_pso_search,
     stagnation_check,
 )
-from .rng import derive_seed
 from .sfe import SfeParams, sfe_search
 from .stats import Mark, friedman_mean_ranks, wilcoxon_ranksum
 from .trace import SearchTrace

@@ -14,7 +14,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .fitness import FitnessEvaluator
-from .rng import as_generator
 from .trace import SearchTrace
 
 __all__ = [
@@ -53,7 +52,6 @@ def velocity_update(v, x, pbest, gbest, params: PsoParams, rng):
     Accepts scalars or arrays of matching shape; the result is clamped to
     [-v_clamp, +v_clamp] componentwise.
     """
-    rng = as_generator(rng)
     v = np.asarray(v, dtype=np.float64)
     r1 = rng.random(v.shape)
     r2 = rng.random(v.shape)
@@ -67,7 +65,6 @@ def velocity_update(v, x, pbest, gbest, params: PsoParams, rng):
 
 def position_update(v, rng):
     """Resample position bits: 1 where a fresh uniform draw <= sigmoid(v)."""
-    rng = as_generator(rng)
     v = np.asarray(v, dtype=np.float64)
     return (rng.random(v.shape) <= sigmoid(v)).astype(np.int8)
 
@@ -97,7 +94,7 @@ def pso_search(
     running maximum and the final mask is the running best: the first mask
     to reach the best fitness, which ``n_selected[-1]`` counts.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = params.pop_size
     d = ds.n_features
     if ev.remaining_budget < n:

@@ -41,13 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "or ./sfekit-runs, plus the config name)")
     run_p.add_argument("--force", action="store_true",
                        help="write into a non-empty output directory")
+    run_p.set_defaults(handler=_cmd_run)
 
     rep_p = sub.add_parser("report", help="rebuild the report from persisted runs")
     rep_p.add_argument("experiment_dir")
+    rep_p.set_defaults(handler=_cmd_report)
 
     conv_p = sub.add_parser("converge", help="export mean convergence curves as CSV")
     conv_p.add_argument("experiment_dir")
     conv_p.add_argument("--out", required=True, help="directory for the CSV files")
+    conv_p.set_defaults(handler=_cmd_converge)
     return parser
 
 
@@ -128,16 +131,10 @@ def _cmd_converge(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "converge":
-            return _cmd_converge(args)
+        return args.handler(args)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -85,15 +85,6 @@ class ExperimentConfig:
         return self.algorithms[0]
 
 
-def _parse_bool(raw: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 def _parse_label_col(raw: str):
     raw = raw.strip()
     try:
@@ -107,11 +98,11 @@ def _parse_value(raw, kind, where, section, key):
     type that takes the string, such as int, float or str."""
     try:
         if kind is bool:
-            return _parse_bool(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         if kind is tuple:
             return tuple(p.strip() for p in raw.split(",") if p.strip())
         return kind(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(
             f"{where}: [{section}] {key}: cannot parse {raw!r} as {kind.__name__}"
         ) from None
@@ -191,11 +182,14 @@ def load_config(path: str) -> ExperimentConfig:
                           "write each key in its own section")
     base = os.path.dirname(os.path.abspath(path))
 
-    datasets = []
+    datasets, sections = [], {}
     for section in parser.sections():
         if not section.startswith("dataset:"):
             continue
         name = section.split(":", 1)[1].strip()
+        if sections.setdefault(name, section) != section:
+            raise ConfigError(f"{path}: [{section}] repeats the dataset name {name!r} "
+                              f"of [{sections[name]}]")
         items = dict(parser.items(section))
         for key in items:
             if key not in ("path", "label_col", "header"):

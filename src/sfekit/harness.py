@@ -17,6 +17,7 @@ import collections
 import concurrent.futures
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from .config import ConfigError, DatasetSpec, ExperimentConfig, load_config, wri
 from .dataset import Dataset, load_csv, stratified_kfold
 from .fitness import FitnessEvaluator
 from .hybrid import resolve_algorithm
-from .rng import derive_seed
 from .stats import friedman_mean_ranks, wilcoxon_ranksum
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "load_runs",
     "emit_convergence",
     "format_report",
+    "derive_seed",
 ]
 
 _SCHEMA = 1
@@ -140,6 +141,18 @@ def _safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", name)
 
 
+def derive_seed(*parts) -> int:
+    """Derive a 64-bit seed from a tuple of labels.
+
+    Stable across processes and platforms (unlike built-in ``hash``), so a
+    run matrix keyed by (master seed, algorithm, dataset, run index) gets
+    the same per-run seeds on every rerun.
+    """
+    text = "\x1f".join(str(p) for p in parts)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
 def _matrix(cfg: ExperimentConfig, out_dir: str) -> list:
     """Every run of ``cfg`` as (run file, `_Run`), in matrix order: datasets,
     then algorithms, then runs.
@@ -212,6 +225,13 @@ def _load_dataset(cfg: ExperimentConfig, spec: DatasetSpec) -> Dataset:
     return ds
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file is in the way
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     """Execute the full run matrix and persist everything under ``out_dir``.
 
@@ -223,10 +243,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     """
     matrix = _matrix(cfg, out_dir)
     datasets = {spec.name: _load_dataset(cfg, spec) for spec in cfg.datasets}
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:  # a file is in the way
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
+    _make_out_dir(out_dir)
     write_config(cfg, os.path.join(out_dir, "config.ini"))
 
     tasks = [(datasets[run.dataset], cfg, run) for _, run in matrix]
@@ -444,7 +461,7 @@ def emit_convergence(out_dir: str, dest_dir: str) -> list:
     groups = {}
     for res in results:
         groups.setdefault((res.dataset, res.algorithm), []).append(res)
-    os.makedirs(dest_dir, exist_ok=True)
+    _make_out_dir(dest_dir)
     written = []
     for (dataset, algorithm), group in sorted(groups.items()):
         horizon = max(len(r.trace_fes) for r in group)

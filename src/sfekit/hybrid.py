@@ -19,7 +19,6 @@ import numpy as np
 from .bpso import PsoParams, pso_search
 from .dataset import Dataset, subset_columns
 from .fitness import FitnessEvaluator
-from .rng import as_generator
 from .sfe import SfeParams, random_mask, sfe_search
 from .trace import SearchTrace
 
@@ -107,7 +106,7 @@ def sfe_ec_search(
     index space; ``handoff_fes`` records where control changed hands, or
     None when the trigger never fired.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
 
     def stop(trace):
         return (ev.remaining_budget >= min_continuation_budget
@@ -177,7 +176,7 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
     -inf, is rejected and repeats the previous trace entry, which it could
     not have beaten anyway. The seed and every restart are scored in full.
     """
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     d = reduced_ds.n_features
     trace = SearchTrace()
 

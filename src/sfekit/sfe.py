@@ -16,7 +16,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .fitness import FitnessEvaluator
-from .rng import as_generator
 from .trace import SearchTrace
 
 __all__ = [
@@ -82,7 +81,6 @@ def non_selection(x: np.ndarray, un: int, rng) -> np.ndarray:
     index = np.flatnonzero(x)
     if index.size == 0:
         raise ValueError("x has no selected features")
-    rng = as_generator(rng)
     draws = rng.integers(0, index.size, size=un)
     out = x.copy()
     out[index[draws]] = 0
@@ -100,7 +98,6 @@ def selection(x: np.ndarray, sn: int, rng) -> np.ndarray:
     uindex = np.flatnonzero(np.asarray(x) == 0)
     if uindex.size == 0:
         raise ValueError("x has no unselected features")
-    rng = as_generator(rng)
     draws = rng.integers(0, uindex.size, size=sn)
     out = x.copy()
     out[uindex[draws]] = 1
@@ -111,7 +108,6 @@ def random_mask(nvar: int, rng) -> np.ndarray:
     """Bernoulli(0.5) mask, redrawn until at least one bit is set."""
     if nvar < 1:
         raise ValueError("nvar must be positive")
-    rng = as_generator(rng)
     while True:
         mask = (rng.random(nvar) < 0.5).astype(np.int8)
         if mask.any():
@@ -143,7 +139,7 @@ def sfe_search(
     to take over at a stagnation point. Returns the trace with the final
     mask and fitness filled in.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     nvar = ds.n_features
     max_fes = ev.budget
     trace = SearchTrace()

@@ -48,8 +48,6 @@ def _normal_p(w: float, n1: int, n2: int, pooled: np.ndarray) -> float:
     _, counts = np.unique(pooled, return_counts=True)
     ties = float(np.sum(counts.astype(np.float64) ** 3 - counts))
     var = n1 * n2 / 12.0 * ((n + 1) - ties / (n * (n - 1)))
-    if var <= 0.0:
-        return 1.0
     diff = w - mean
     if diff == 0.0:
         return 1.0

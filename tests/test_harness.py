@@ -255,6 +255,18 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
             load_config(str(ini))
 
 
+def test_config_names_both_sections_of_a_repeated_dataset_name(corpus, tmp_path):
+    _, pa, pb = corpus
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[dataset:a]\npath = {pa}\n[dataset: a]\npath = {pb}\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{ini}: [dataset: a] repeats the dataset name 'a' of [dataset:a]") + "$"):
+        load_config(str(ini))
+    # a config built in code is checked by ExperimentConfig itself
+    with pytest.raises(ConfigError, match="^duplicate dataset name 'a'$"):
+        ExperimentConfig(datasets=(DatasetSpec("a", pa), DatasetSpec("a", pb)))
+
+
 def test_validate_catches_bad_matrices(corpus, tmp_path):
     _, pa, _ = corpus
     with pytest.raises(ConfigError, match="unknown algorithm"):
@@ -616,6 +628,20 @@ def test_cli_refuses_an_out_path_that_is_a_file(corpus, tmp_path, capsys):
     assert taken.read_text() == "keep\n"
 
 
+def test_cli_converge_refuses_an_out_path_that_is_a_file(corpus, tmp_path, capsys):
+    root, pa, _ = corpus
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", write_ini(root, pa), "--out", out, "--runs", "1"]) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    capsys.readouterr()
+    for dest, reason in [(taken, "File exists"), (taken / "sub", "Not a directory")]:
+        assert main(["converge", out, "--out", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot create output directory {dest}: {reason}\n")
+    assert taken.read_text() == "keep\n"
+
+
 def test_cli_algo_and_dataset_filters(corpus, tmp_path, capsys):
     root, pa, pb = corpus
     ini = write_ini(root, pa, pb)
@@ -668,6 +694,83 @@ def test_cli_error_paths(corpus, tmp_path, capsys):
     assert main(["report", str(tmp_path / "nowhere")]) == 2
     assert main(["run", "--config", write_ini(root, pa), "--out",
                  str(tmp_path / "o"), "--dataset", "nosuchname"]) == 2
+
+
+def _no_successful_runs(tmp_path, ini, out):
+    ini.write_text("[experiment]\nalgorithms = bpso\nruns = 1\nbudget = 15\nfolds = 2\n"
+                   "[pso]\npop_size = 20\n[dataset:alpha]\npath = alpha.csv\n")
+    assert main(["run", "--config", str(ini), "--out", out]) == 1
+    return (["converge", out, "--out", str(tmp_path / "curves")],
+            "no successful runs with traces found\n")
+
+
+def _incomplete_run_file(tmp_path, ini, out):
+    assert main(["run", "--config", str(ini), "--out", out, "--runs", "1",
+                 "--algo", "sfe"]) == 0
+    path = Path(out, "runs", "alpha", "sfe", "run_0000.jsonl")
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    return ["report", out], f"error: {path}: incomplete run record\n"
+
+
+def _no_algorithms(tmp_path, ini, out):
+    return ["run", "--config", str(ini), "--out", out, "--algo", ","], (
+        "error: no algorithms configured\n")
+
+
+def _dataset_section(body, message):
+    def case(tmp_path, ini, out):
+        ini.write_text("[experiment]\nalgorithms = sfe\n[dataset:a]\n" + body)
+        return ["run", "--config", str(ini), "--out", out], f"error: {ini}: {message}\n"
+    return case
+
+
+def _bad_csv(text, header, message):
+    def case(tmp_path, ini, out):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        ini.write_text(f"[experiment]\nalgorithms = sfe\n[dataset:bad]\npath = {csv}\n"
+                       f"header = {header}\n")
+        return ["run", "--config", str(ini), "--out", out], f"error: {csv}: {message}\n"
+    return case
+
+
+@pytest.mark.parametrize("case, code", [
+    (_no_successful_runs, 1),
+    (_incomplete_run_file, 2),
+    (_no_algorithms, 2),
+    (_dataset_section("paht = a.csv\n", "unknown key 'paht' in [dataset:a]"), 2),
+    (_dataset_section("label_col = 0\n", "[dataset:a] is missing 'path'"), 2),
+    (_bad_csv("1\n2\n3\n", "false",
+              "need at least one feature column plus a label column"), 2),
+    (_bad_csv("", "true", "empty file"), 2),
+], ids=["converge-without-runs", "incomplete-run-file",
+        "no-algorithms", "dataset-unknown-key", "dataset-without-path",
+        "one-column-csv", "empty-headed-csv"])
+def test_cli_user_facing_checks(case, code, corpus, tmp_path, capsys):
+    """Each case sets up an experiment and returns the command to check with
+    its whole stderr."""
+    root, pa, _ = corpus
+    out = str(tmp_path / "out")
+    argv, err = case(tmp_path, Path(write_ini(root, pa)), out)
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+
+
+def test_cli_report_marks_against_a_configured_reference(corpus, tmp_path, capsys):
+    root, pa, _ = corpus
+    ini = Path(write_ini(root, pa))
+    # without `reference`, sfe_pso would be the reference
+    ini.write_text(ini.read_text().replace("algorithms = sfe, bpso",
+                                           "algorithms = sfe_pso, sfe\nreference = sfe"))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(ini), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["report", out]) == 0
+    printed = capsys.readouterr().out
+    assert re.search(r"^dataset +algorithm .* vs sfe$", printed, re.M)
+    assert re.search(r"^alpha +sfe +2 .* ref$", printed, re.M)
+    assert re.search(r"^alpha +sfe_pso +2 .* [+~-]$", printed, re.M)
 
 
 def test_cli_runs_selected_datasets_while_another_file_is_missing(corpus, tmp_path, capsys):
