@@ -174,6 +174,8 @@ def load_config(path: str) -> ExperimentConfig:
         # duplicate keys or sections, or a key before any section header
         detail = " ".join(str(exc).split())
         raise ConfigError(f"{path}: not a valid INI file: {detail}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
     if parser.defaults():

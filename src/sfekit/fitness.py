@@ -11,10 +11,10 @@ transposes of the blocks they computed. The per-evaluation buffer is one
 n x n float64 matrix (31 KB at 62 rows, 320 KB at 200).
 
 A search that reads only whether a candidate reaches a threshold asks
-`FitnessEvaluator.evaluate_at_least`, which stops the cross-validation at
-the first fold after which the candidate can no longer reach it (early
-abandoning), so the later folds' distances are never computed. It is
-still charged one evaluation.
+`FitnessEvaluator.evaluate_at_least`. After each fold, the value's own
+expression scores the evaluation with every remaining test row right, and
+it returns -inf once that exact bound falls below the threshold, so later
+folds' distances are never computed. It is still charged one evaluation.
 """
 
 from __future__ import annotations
@@ -35,18 +35,16 @@ class BudgetExhausted(RuntimeError):
     """Raised when a fitness evaluation is requested past the budget."""
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (len(A), len(B)).
+def _sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, written into ``out`` and returned.
 
-    Computed by direct differencing rather than the expanded dot-product
-    identity: equal rows must give exactly 0.0 so that tie-breaking between
-    equidistant neighbours is reproducible.
+    ``out`` is a (len(A), len(B)) array or view. Computed by direct
+    differencing rather than the expanded dot-product identity: equal rows
+    must give exactly 0.0 so that tie-breaking between equidistant
+    neighbours is reproducible.
     """
-    n, d = A.shape
-    per_row = max(1, B.shape[0] * d)
-    step = max(1, min(n, _CHUNK_ELEMS // per_row))
-    out = np.empty((n, B.shape[0]), dtype=np.float64)
-    for s in range(0, n, step):
+    step = max(1, _CHUNK_ELEMS // max(1, B.size))
+    for s in range(0, len(A), step):
         block = A[s : s + step, None, :] - B[None, :, :]
         np.einsum("ijk,ijk->ij", block, block, out=out[s : s + step])
     return out
@@ -139,8 +137,8 @@ class FitnessEvaluator:
         self.used = used
         self.fold_mean = fold_mean
         self._order = order
-        # Threshold of the `evaluate_at_least` call in progress, else None.
-        self._at_least = None
+        # Threshold of the `evaluate_at_least` in progress; -inf abandons nothing.
+        self._at_least = -math.inf
 
     @property
     def remaining_budget(self) -> int:
@@ -191,10 +189,16 @@ class FitnessEvaluator:
         """
         self._at_least = at_least
         try:
-            value = self.evaluate(mask)
+            return self.evaluate(mask)
         finally:
-            self._at_least = None
-        return value if value >= at_least else -math.inf
+            self._at_least = -math.inf
+
+    def _score(self, n: int, missed: int, per_fold: np.ndarray) -> float:
+        """Value with ``missed`` of ``n`` rows wrong and fold scores ``per_fold``."""
+        if self.fold_mean:
+            # np.mean's own sum and division, without its per-call overhead
+            return 100.0 * float(per_fold.sum() / per_fold.size)
+        return 100.0 * (n - missed) / n
 
     def _accuracy(self, sel: np.ndarray) -> float:
         # Each fold votes before the next computes anything, so an abandoned
@@ -202,28 +206,18 @@ class FitnessEvaluator:
         Xs = self.dataset.X.take(sel, axis=1).take(self._order, axis=0)
         n, k = Xs.shape[0], len(self._fold_rows)
         d2 = np.empty((n, n))
-        at_least = self._at_least
         missed = 0
-        per_fold = []
+        # A fold not yet voted on scores 1.0 (every row right), so `_score`
+        # bounds the value from above and equals it after the last fold.
+        per_fold = np.ones(k)
         for f, (lo, hi, cols, train_y, test_y) in enumerate(self._fold_rows):
             d2[lo:hi, :lo] = d2[:lo, lo:hi].T
             if hi < n:
-                d2[lo:hi, hi:] = _sq_dists(Xs[lo:hi], Xs[hi:])
+                _sq_dists(Xs[lo:hi], Xs[hi:], d2[lo:hi, hi:])
             pred = _vote(d2[lo:hi].take(cols, axis=1), train_y, self.knn_k)
             hits = int(np.count_nonzero(pred == test_y))
             missed += test_y.size - hits
-            per_fold.append(hits / test_y.size)
-            if at_least is None or f == k - 1:
-                continue
-            # Upper bound on the final value: every remaining test row right.
-            if self.fold_mean:
-                # The margin covers the rounding of np.mean's summation order.
-                bound = 100.0 * (sum(per_fold) + (k - 1 - f)) / k + 1e-9
-            else:
-                # Same expression as the pooled value below, so it is exact.
-                bound = 100.0 * (n - missed) / n
-            if bound < at_least:
+            per_fold[f] = hits / test_y.size
+            if self._score(n, missed, per_fold) < self._at_least:
                 return -math.inf
-        if self.fold_mean:
-            return 100.0 * float(np.mean(per_fold))
-        return 100.0 * (n - missed) / n
+        return self._score(n, missed, per_fold)

@@ -403,28 +403,46 @@ def _write_report(out_dir: str, report: ExperimentReport) -> None:
         fh.write(format_report(report))
 
 
+def _read_records(path: str) -> dict:
+    """The records of one run file by type, each holding the keys that
+    `_RUN_RECORDS` lists for its kind."""
+    with open(path) as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    records = {}
+    for lineno, line in enumerate(lines, 1):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from None
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: line {lineno} is not a JSON object")
+        kind = rec.get("type")
+        keys = [a.removeprefix("trace_") for a in _RUN_RECORDS.get(kind, ())]
+        missing = [key for key in keys if key not in rec]
+        if missing:
+            raise ValueError(f"{path}: line {lineno}, the {kind} record, lacks "
+                             f"{', '.join(map(repr, missing))}")
+        records[kind] = rec
+    return records
+
+
 def load_runs(out_dir: str):
     """Read back the runs that the experiment's ``config.ini`` names, in
     matrix order.
 
     Files under ``runs/`` that the matrix does not name are ignored. A
-    missing or incomplete run file, a line that is not valid JSON, a meta
-    record that differs from the run that ``config.ini`` names there, or a
-    trace that is not one entry per evaluation ``1..n``, is an error that
-    names the file.
+    missing, unreadable or incomplete run file, a line that is not a JSON
+    object, a record without one of its keys, a meta record that differs
+    from the run that ``config.ini`` names there, or a trace that is not
+    one entry per evaluation ``1..n``, is an error that names the file.
     """
     cfg = load_config(os.path.join(out_dir, "config.ini"))
     results = []
     for path, run in _matrix(cfg, out_dir):
-        records = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{path}: line {lineno} is not valid JSON: {exc}") from None
-                records[rec.get("type")] = rec
+        records = _read_records(path)
         if "meta" not in records or "final" not in records:
             raise ValueError(f"{path}: incomplete run record")
         for key, want in _meta(cfg, run).items():
@@ -437,6 +455,9 @@ def load_runs(out_dir: str):
             for kind, attrs in _RUN_RECORDS.items() if kind in records
             for a in attrs
         })
+        if not all(isinstance(t, list)
+                   for t in (res.trace_fes, res.trace_best, res.trace_nsel)):
+            raise ValueError(f"{path}: the trace's fes, best and nsel must be lists")
         n = len(res.trace_fes)
         if (res.trace_fes != list(range(1, n + 1))
                 or len(res.trace_best) != n or len(res.trace_nsel) != n):

@@ -62,7 +62,7 @@ def ur_schedule(params: SfeParams, fes: int, max_fes: int) -> float:
     return (params.ur_max - params.ur_min) * ((max_fes - fes) / max_fes) + params.ur_min
 
 
-def compute_un(params: SfeParams, ur: float, nvar: int) -> int:
+def compute_un(ur: float, nvar: int) -> int:
     """Number of selected bits the next non-selection move will clear:
     ceil(ur * nvar), and at least 1."""
     if nvar < 1:
@@ -150,7 +150,7 @@ def sfe_search(
 
     ur = ur_schedule(params, 0, max_fes)
     while ev.remaining_budget > 0 and not (stop is not None and stop(trace)):
-        un = compute_un(params, ur, nvar)
+        un = compute_un(ur, nvar)
         cand = non_selection(x, un, rng)
         if not cand.any():
             if np.all(x == 1):

@@ -96,8 +96,8 @@ def test_criterion_2_schedule_endpoints():
     p = SfeParams()
     start = ur_schedule(p, 0, 6000)
     end = ur_schedule(p, 6000, 6000)
-    un_high = compute_un(p, 0.3, 20)
-    un_low = compute_un(p, 0.1, 20)
+    un_high = compute_un(0.3, 20)
+    un_low = compute_un(0.1, 20)
     ok = start == 0.3 and end == 0.001 and un_high == 6 and un_low == 2
     criterion(2, "clearing-rate schedule endpoints and batch sizes are exact", ok,
               f"ur(0)={start}, ur(max)={end}, un={un_high},{un_low}")

@@ -63,7 +63,8 @@ def knn_predict(train_x, train_y, query, k=1):
     """The evaluator's k-NN kernel on a single query row."""
     train_x = np.asarray(train_x, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
-    return int(_vote(_sq_dists(query[None, :], train_x), np.asarray(train_y), k)[0])
+    return int(_vote(_sq_dists(query[None, :], train_x, np.empty((1, len(train_x)))),
+                     np.asarray(train_y), k)[0])
 
 
 def test_knn_matches_oracle_randomized():
@@ -76,7 +77,8 @@ def test_knn_matches_oracle_randomized():
         queries = rng.integers(0, 5, size=(4, d)).astype(float)
         k = int(rng.integers(1, n + 1))
         # one call over a block of queries, as the evaluator makes per fold
-        assert _vote(_sq_dists(queries, train), labels, k).tolist() == [
+        d2 = _sq_dists(queries, train, np.empty((len(queries), n)))
+        assert _vote(d2, labels, k).tolist() == [
             oracle_predict(train, labels, q, k) for q in queries
         ]
 
@@ -300,9 +302,22 @@ def test_at_least_abandons_after_the_first_fold_that_cannot_reach_it(
     assert ev.used == 3
 
 
+def test_at_least_fold_mean_bound_is_exact(monkeypatch):
+    # The first fold scores 5/6, so the best reachable value is the mean of
+    # [5/6, 1, 1, 1, 1]; a threshold one ulp above it is out of reach after
+    # that fold alone.
+    ds = keyed_dataset(30, 6, key_cols=[0], seed=4)
+    ev, _ = evaluator(ds, budget=1, seed=0, fold_mean=True)
+    calls = count_fold_votes(monkeypatch)
+    reachable = 100.0 * float(np.mean([5 / 6, 1.0, 1.0, 1.0, 1.0]))
+    at_least = np.nextafter(reachable, np.inf)
+    assert ev.evaluate_at_least(np.array([0, 1, 1, 1, 1, 1]), at_least) == -np.inf
+    assert calls == [6]
+
+
 def test_at_least_checks_the_mask_like_evaluate():
     ds = blob_dataset(15, 4, seed=1)
     ev, _ = evaluator(ds, budget=1)
     with pytest.raises(ValueError, match="no features"):
         ev.evaluate_at_least(np.zeros(4, dtype=int), 50.0)
-    assert ev.used == 0 and ev._at_least is None
+    assert ev.used == 0 and ev._at_least == -np.inf

@@ -255,6 +255,16 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
             load_config(str(ini))
 
 
+def test_cli_names_a_config_file_that_is_not_utf8(corpus, tmp_path, capsys):
+    _, pa, _ = corpus
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"[experiment]\nruns = 2\n# caf\xe9\n" + f"[dataset:a]\npath = {pa}\n".encode())
+    with pytest.raises(ConfigError, match=re.escape(f"{ini}: ") + "'utf-8' codec can't decode"):
+        load_config(str(ini))
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {ini}: ")
+
+
 def test_config_names_both_sections_of_a_repeated_dataset_name(corpus, tmp_path):
     _, pa, pb = corpus
     ini = tmp_path / "exp.ini"
@@ -543,6 +553,35 @@ def test_load_runs_names_a_run_file_that_is_not_json(corpus, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: line {lineno} is not valid JSON")
+
+
+@pytest.mark.parametrize("command", ["report", "converge"])
+@pytest.mark.parametrize("corruption", ["no accuracy", "a list line", "null fes",
+                                        "a directory", "not utf-8"])
+def test_cli_names_a_malformed_run_file(corpus, tmp_path, capsys, command, corruption):
+    _, pa, _ = corpus
+    out = tmp_path / "out"
+    run_experiment(small_cfg(pa, algorithms=("sfe",), runs=1, budget=20), str(out))
+    path = out / "runs" / "alpha" / "sfe" / "run_0000.jsonl"
+    meta, trace, final = map(json.loads, path.read_text().splitlines())
+    if corruption == "no accuracy":
+        del final["accuracy"]
+    if corruption == "null fes":
+        trace["fes"] = None
+    lines = [json.dumps(rec) for rec in (meta, trace, final)]
+    if corruption == "a list line":
+        lines.append("[1, 2]")
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+    if corruption == "not utf-8":
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+    if corruption == "a directory":
+        path.unlink()
+        path.mkdir()
+    capsys.readouterr()
+    dest = ["--out", str(tmp_path / "curves")] if command == "converge" else []
+    assert main([command, str(out), *dest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 # ------------------------------------------------------------- convergence

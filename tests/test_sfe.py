@@ -117,10 +117,9 @@ def test_ur_schedule_rejects_bad_budget():
 
 
 def test_compute_un_linear_examples():
-    p = SfeParams()
-    assert compute_un(p, 0.3, 20) == 6
-    assert compute_un(p, 0.1, 20) == 2
-    assert compute_un(p, 0.0001, 20) == 1  # clamped up
+    assert compute_un(0.3, 20) == 6
+    assert compute_un(0.1, 20) == 2
+    assert compute_un(0.0001, 20) == 1  # clamped up
 
 
 def test_params_validation():
