@@ -17,7 +17,6 @@ from .dataset import (
 )
 from .fitness import BudgetExhausted, FitnessEvaluator
 from .harness import (
-    ExperimentReport,
     RunResult,
     build_report,
     derive_seed,
@@ -50,7 +49,6 @@ __all__ = [
     "DatasetSpec",
     "EngineContractError",
     "ExperimentConfig",
-    "ExperimentReport",
     "FitnessEvaluator",
     "FoldAssignment",
     "HybridParams",

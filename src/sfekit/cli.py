@@ -105,7 +105,7 @@ def _cmd_run(args) -> int:
     report = run_experiment(cfg, out_dir)
     print(format_report(report), end="")
     print(f"\nwrote {out_dir}/report.json, report.txt and raw runs")
-    if report.failures:
+    if report["failures"]:
         return 1
     return 0
 

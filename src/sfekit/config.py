@@ -186,8 +186,10 @@ def load_config(path: str) -> ExperimentConfig:
 
     datasets, sections = [], {}
     for section in parser.sections():
-        if not section.startswith("dataset:"):
+        if section in ("experiment", "sfe", "pso", "hybrid"):
             continue
+        if not section.startswith("dataset:"):
+            raise ConfigError(f"{path}: unknown section [{section}]")
         name = section.split(":", 1)[1].strip()
         if sections.setdefault(name, section) != section:
             raise ConfigError(f"{path}: [{section}] repeats the dataset name {name!r} "

@@ -9,14 +9,17 @@ stable hash, so the whole matrix is reproducible and any single run can be
 replayed in isolation. A matrix that no run could complete is refused
 before anything is written; a run that fails on its own is recorded and
 skipped, and never takes the rest of the matrix down.
+
+Each record has one form. A run's meta record, as `_matrix` builds it, is
+both what its file holds and the identity that runs it and checks it. The
+report is the dict that ``report.json`` holds, with NaN in place of null,
+and `format_report` renders that same dict.
 """
 
 from __future__ import annotations
 
-import collections
 import concurrent.futures
 import contextlib
-import dataclasses
 import hashlib
 import json
 import math
@@ -35,8 +38,6 @@ from .stats import friedman_mean_ranks, wilcoxon_ranksum
 
 __all__ = [
     "RunResult",
-    "CellStats",
-    "ExperimentReport",
     "run_experiment",
     "build_report",
     "load_runs",
@@ -47,13 +48,19 @@ __all__ = [
 
 _SCHEMA = 1
 
+_NULL = type(None)
+
 # Run-file schema 1: the RunResult attributes each record type carries, in
-# file order. Trace keys drop the "trace_" prefix. Failed runs have no trace.
+# file order, each with the JSON types the writer gives its value: a tuple
+# of types, or a list of one item type. A bool does not count as an int.
+# Trace keys drop the "trace_" prefix. Failed runs have no trace.
 _RUN_RECORDS = {
-    "meta": ("algorithm", "dataset", "run_index", "seed", "fold_seed"),
-    "trace": ("trace_fes", "trace_best", "trace_nsel"),
-    "final": ("ok", "error", "accuracy", "n_selected", "selected_features",
-              "wall_time_s", "handoff_fes"),
+    "meta": {"algorithm": (str,), "dataset": (str,), "run_index": (int,), "seed": (int,),
+             "fold_seed": (int,)},
+    "trace": {"trace_fes": [int], "trace_best": [float], "trace_nsel": [int]},
+    "final": {"ok": (bool,), "error": (str, _NULL), "accuracy": (float, _NULL),
+              "n_selected": (int,), "selected_features": [int], "wall_time_s": (float,),
+              "handoff_fes": (int, _NULL)},
 }
 
 
@@ -78,45 +85,18 @@ class RunResult:
     trace_nsel: list = field(default_factory=list)
 
 
-@dataclass
-class CellStats:
-    n_runs: int
-    n_failed: int
-    worst: float
-    best: float
-    mean: float
-    std: float
-    mean_selected: float
-    mean_time_s: float
-
-
-@dataclass
-class ExperimentReport:
-    algorithms: list
-    datasets: list
-    reference: str
-    cells: dict  # (algorithm, dataset) -> CellStats
-    marks: dict  # (algorithm, dataset) -> Mark, absent for the reference
-    friedman: dict  # algorithm -> mean rank, empty when not computable
-    failures: list  # dicts with algorithm/dataset/run_index/seed/error
-
-
-# One run of the matrix, by the identity its meta record holds.
-_Run = collections.namedtuple("_Run", _RUN_RECORDS["meta"])
-
-
 def _run_cell(args) -> RunResult:
-    ds, cfg, run = args
+    ds, hybrid, meta = args
+    identity = {a: meta[a] for a in _RUN_RECORDS["meta"]}
     t0 = time.perf_counter()
     try:
-        folds = stratified_kfold(ds, cfg.folds, run.fold_seed)
-        ev = FitnessEvaluator(
-            ds, folds, knn_k=cfg.knn_k, budget=cfg.budget, fold_mean=cfg.fold_mean
-        )
-        trace = resolve_algorithm(run.algorithm, cfg.hybrid)(ds, ev, run.seed)
+        folds = stratified_kfold(ds, meta["folds"], meta["fold_seed"])
+        ev = FitnessEvaluator(ds, folds, knn_k=meta["knn_k"], budget=meta["budget"],
+                              fold_mean=meta["fold_mean"])
+        trace = resolve_algorithm(meta["algorithm"], hybrid)(ds, ev, meta["seed"])
     except Exception as exc:  # recorded, not fatal to the matrix
         return RunResult(
-            **run._asdict(),
+            **identity,
             ok=False,
             error=f"{type(exc).__name__}: {exc}",
             wall_time_s=time.perf_counter() - t0,
@@ -124,7 +104,7 @@ def _run_cell(args) -> RunResult:
     wall = time.perf_counter() - t0
     sel = np.flatnonzero(trace.final_mask)
     return RunResult(
-        **run._asdict(),
+        **identity,
         ok=True,
         accuracy=float(trace.final_fitness),
         n_selected=int(len(sel)),
@@ -154,11 +134,13 @@ def derive_seed(*parts) -> int:
 
 
 def _matrix(cfg: ExperimentConfig, out_dir: str) -> list:
-    """Every run of ``cfg`` as (run file, `_Run`), in matrix order: datasets,
-    then algorithms, then runs.
+    """Every run of ``cfg`` as (run file, meta record), in matrix order:
+    datasets, then algorithms, then runs.
 
-    Fold seeds derive from the run seed, or from the dataset alone when
-    ``fixed_folds`` is set so every run shares one split. Two datasets
+    The meta record, exactly as the run file holds it, is the run's
+    identity: what `_run_cell` runs and what `load_runs` checks the file
+    against. Fold seeds derive from the run seed, or from the dataset alone
+    when ``fixed_folds`` is set so every run shares one split. Two datasets
     whose names map to one run file are refused.
     """
     runs, seeds, paths = [], {}, {}
@@ -178,12 +160,17 @@ def _matrix(cfg: ExperimentConfig, out_dir: str) -> list:
                     fold_seed = derive_seed(cfg.seed, spec.name, "folds")
                 else:
                     fold_seed = derive_seed(seed, "folds")
-                runs.append((path, _Run(algorithm, spec.name, r, seed, fold_seed)))
+                runs.append((path, {
+                    "type": "meta", "schema": _SCHEMA, "algorithm": algorithm,
+                    "dataset": spec.name, "run_index": r, "seed": seed,
+                    "fold_seed": fold_seed, "budget": cfg.budget, "folds": cfg.folds,
+                    "knn_k": cfg.knn_k, "fold_mean": cfg.fold_mean,
+                }))
     return runs
 
 
-def _record(kind: str, res: RunResult, **head) -> dict:
-    return {"type": kind, **head,
+def _record(kind: str, res: RunResult) -> dict:
+    return {"type": kind,
             **{a.removeprefix("trace_"): getattr(res, a) for a in _RUN_RECORDS[kind]}}
 
 
@@ -193,18 +180,12 @@ def _nan_to_null(record: dict) -> dict:
             for k, v in record.items()}
 
 
-def _meta(cfg: ExperimentConfig, run) -> dict:
-    """The meta record of ``run``, a `_Run` or `RunResult` of ``cfg``."""
-    return _record("meta", run, schema=_SCHEMA) | dict(
-        budget=cfg.budget, folds=cfg.folds, knn_k=cfg.knn_k, fold_mean=cfg.fold_mean)
-
-
-def _persist_run(path: str, cfg: ExperimentConfig, res: RunResult) -> None:
-    """Write ``res`` to a temporary file and rename it over ``path``, so a
-    run file is either complete or absent."""
+def _persist_run(path: str, meta: dict, res: RunResult) -> None:
+    """Write ``meta`` and ``res`` to a temporary file and rename it over
+    ``path``, so a run file is either complete or absent."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path + ".tmp", "w") as fh:
-        fh.write(json.dumps(_meta(cfg, res)) + "\n")
+        fh.write(json.dumps(meta) + "\n")
         if res.ok:
             fh.write(json.dumps(_record("trace", res)) + "\n")
         fh.write(json.dumps(_nan_to_null(_record("final", res))) + "\n")
@@ -232,8 +213,9 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
-    """Execute the full run matrix and persist everything under ``out_dir``.
+def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
+    """Execute the full run matrix, persist everything under ``out_dir``
+    and return the report, as `build_report` gives it.
 
     The matrix and its datasets are checked before anything is written.
     Runs execute in a process pool when ``workers`` exceeds one; either way
@@ -246,25 +228,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentReport:
     _make_out_dir(out_dir)
     write_config(cfg, os.path.join(out_dir, "config.ini"))
 
-    tasks = [(datasets[run.dataset], cfg, run) for _, run in matrix]
+    tasks = [(datasets[meta["dataset"]], cfg.hybrid, meta) for _, meta in matrix]
     pool = concurrent.futures.ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
     with pool or contextlib.nullcontext():
-        for (path, *_), res in zip(matrix, (pool.map if pool else map)(_run_cell, tasks)):
-            _persist_run(path, cfg, res)
+        for (path, meta), res in zip(matrix, (pool.map if pool else map)(_run_cell, tasks)):
+            _persist_run(path, meta, res)
 
     report = build_report(cfg, load_runs(out_dir))
     _write_report(out_dir, report)
     return report
 
 
-def build_report(cfg: ExperimentConfig, results) -> ExperimentReport:
-    """Aggregate per-run results into the report tables.
+def build_report(cfg: ExperimentConfig, results) -> dict:
+    """Aggregate per-run results into the report: the payload of
+    ``report.json``, with NaN where the file has null.
 
-    Accuracy statistics use the sample standard deviation (ddof=1, zero
-    for a single run). Pairwise rank-sum marks compare each algorithm
-    against the reference per dataset; Friedman mean ranks summarise mean
-    accuracies across datasets and need every (algorithm, dataset) cell to
-    hold at least one successful run.
+    ``cells`` maps algorithm, then dataset, in the order the results first
+    name them, to the cell's run counts and statistics, plus its rank-sum
+    mark against the reference (``vs_reference``) where both cells hold at
+    least two successful runs. Accuracy statistics use the sample standard
+    deviation (ddof=1, zero for a single run); a cell without a successful
+    run has NaN statistics. Friedman mean ranks summarise mean accuracies
+    across datasets and need every (algorithm, dataset) cell to hold at
+    least one successful run. ``failures`` lists the failed runs in the
+    order of ``results``.
     """
     reference = cfg.pick_reference()
     names = [spec.name for spec in cfg.datasets]
@@ -287,24 +274,21 @@ def build_report(cfg: ExperimentConfig, results) -> ExperimentReport:
         ok = [g for g in group if g.ok]
         values = np.array([g.accuracy for g in ok], dtype=np.float64)
         accs[(algorithm, dataset)] = values
+        cell = {"n_runs": len(ok), "n_failed": len(group) - len(ok)}
         if values.size:
-            std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-            stats = CellStats(
-                n_runs=len(ok),
-                n_failed=len(group) - len(ok),
+            cell.update(
                 worst=float(values.min()),
                 best=float(values.max()),
                 mean=float(values.mean()),
-                std=std,
+                std=float(values.std(ddof=1)) if values.size > 1 else 0.0,
                 mean_selected=float(np.mean([g.n_selected for g in ok])),
                 mean_time_s=float(np.mean([g.wall_time_s for g in ok])),
             )
         else:
-            nan = float("nan")
-            stats = CellStats(len(ok), len(group), nan, nan, nan, nan, nan, nan)
-        cells[(algorithm, dataset)] = stats
+            cell.update(dict.fromkeys(
+                ("worst", "best", "mean", "std", "mean_selected", "mean_time_s"), math.nan))
+        cells.setdefault(algorithm, {})[dataset] = cell
 
-    marks = {}
     for dataset in names:
         ref_vals = accs.get((reference, dataset), np.empty(0))
         for algorithm in cfg.algorithms:
@@ -313,65 +297,46 @@ def build_report(cfg: ExperimentConfig, results) -> ExperimentReport:
             vals = accs.get((algorithm, dataset), np.empty(0))
             if ref_vals.size >= 2 and vals.size >= 2:
                 _, mark = wilcoxon_ranksum(ref_vals, vals)
-                marks[(algorithm, dataset)] = mark
+                cells[algorithm][dataset]["vs_reference"] = mark.value
 
     friedman = {}
     if len(cfg.algorithms) >= 2:
         table = np.array(
-            [[cells[(a, d)].mean if (a, d) in cells else float("nan")
+            [[cells[a][d]["mean"] if (a, d) in accs else math.nan
               for a in cfg.algorithms] for d in names]
         )
         if np.all(np.isfinite(table)):
             ranks = friedman_mean_ranks(table, higher_better=True)
             friedman = {a: float(r) for a, r in zip(cfg.algorithms, ranks)}
 
-    return ExperimentReport(
-        algorithms=list(cfg.algorithms),
-        datasets=names,
-        reference=reference,
-        cells=cells,
-        marks=marks,
-        friedman=friedman,
-        failures=failures,
-    )
-
-
-def _report_to_json(report: ExperimentReport) -> dict:
-    cells = {}
-    for (algorithm, dataset), st in report.cells.items():
-        entry = _nan_to_null(dataclasses.asdict(st))
-        mark = report.marks.get((algorithm, dataset))
-        if mark is not None:
-            entry["vs_reference"] = mark.value
-        cells.setdefault(algorithm, {})[dataset] = entry
     return {
         "schema": _SCHEMA,
-        "algorithms": report.algorithms,
-        "datasets": report.datasets,
-        "reference": report.reference,
+        "algorithms": list(cfg.algorithms),
+        "datasets": names,
+        "reference": reference,
         "cells": cells,
-        "friedman_mean_ranks": report.friedman,
-        "failures": report.failures,
+        "friedman_mean_ranks": friedman,
+        "failures": failures,
     }
 
 
-def format_report(report: ExperimentReport) -> str:
-    """Fixed-width text rendering of the report tables."""
+def format_report(report: dict) -> str:
+    """Fixed-width text rendering of a report as `build_report` gives it."""
+    reference = report["reference"]
     rows = [("dataset", "algorithm", "runs", "worst", "best", "mean", "std",
-             "feats", "time_s", f"vs {report.reference}")]
-    for dataset in report.datasets:
-        for algorithm in report.algorithms:
-            st = report.cells.get((algorithm, dataset))
+             "feats", "time_s", f"vs {reference}")]
+    for dataset in report["datasets"]:
+        for algorithm in report["algorithms"]:
+            st = report["cells"].get(algorithm, {}).get(dataset)
             if st is None:
                 continue
-            mark = report.marks.get((algorithm, dataset))
-            tag = "ref" if algorithm == report.reference else (mark.value if mark else "")
-            fail = f" ({st.n_failed} failed)" if st.n_failed else ""
+            tag = "ref" if algorithm == reference else st.get("vs_reference", "")
+            fail = f" ({st['n_failed']} failed)" if st["n_failed"] else ""
             rows.append((
-                dataset, algorithm, f"{st.n_runs}{fail}",
-                f"{st.worst:.2f}", f"{st.best:.2f}", f"{st.mean:.2f}",
-                f"{st.std:.2f}", f"{st.mean_selected:.1f}",
-                f"{st.mean_time_s:.2f}", tag,
+                dataset, algorithm, f"{st['n_runs']}{fail}",
+                f"{st['worst']:.2f}", f"{st['best']:.2f}", f"{st['mean']:.2f}",
+                f"{st['std']:.2f}", f"{st['mean_selected']:.1f}",
+                f"{st['mean_time_s']:.2f}", tag,
             ))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = []
@@ -379,15 +344,15 @@ def format_report(report: ExperimentReport) -> str:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
-    if report.friedman:
+    if report["friedman_mean_ranks"]:
         lines.append("")
         lines.append("Friedman mean ranks (1 = best):")
-        for algorithm in report.algorithms:
-            lines.append(f"  {algorithm}: {report.friedman[algorithm]:.4f}")
-    if report.failures:
+        for algorithm in report["algorithms"]:
+            lines.append(f"  {algorithm}: {report['friedman_mean_ranks'][algorithm]:.4f}")
+    if report["failures"]:
         lines.append("")
-        lines.append(f"{len(report.failures)} failed run(s):")
-        for f in report.failures:
+        lines.append(f"{len(report['failures'])} failed run(s):")
+        for f in report["failures"]:
             lines.append(
                 f"  {f['algorithm']} on {f['dataset']} run {f['run_index']} "
                 f"(seed {f['seed']}): {f['error']}"
@@ -395,23 +360,42 @@ def format_report(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(out_dir: str, report: ExperimentReport) -> None:
+def _write_report(out_dir: str, report: dict) -> None:
+    cells = {algorithm: {dataset: _nan_to_null(cell) for dataset, cell in row.items()}
+             for algorithm, row in report["cells"].items()}
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(_report_to_json(report), fh, indent=2)
+        json.dump(report | {"cells": cells}, fh, indent=2)
         fh.write("\n")
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(format_report(report))
 
 
+def _is_json_type(value, types) -> bool:
+    """True when ``value`` has one of ``types``, or when ``types`` is a list
+    of one item type and ``value`` is a list of such items. A bool is not
+    an int here, as it is not in JSON."""
+    if isinstance(types, list):
+        return type(value) is list and set(map(type, value)) <= set(types)
+    return type(value) in types
+
+
+def _type_names(types) -> str:
+    if isinstance(types, list):
+        return f"a list of {types[0].__name__}"
+    return " or ".join("null" if t is _NULL else t.__name__ for t in types)
+
+
 def _read_records(path: str) -> dict:
-    """The records of one run file by type, each holding the keys that
-    `_RUN_RECORDS` lists for its kind."""
+    """The records of one run file by type: meta, trace and final in that
+    order for a run that succeeded, meta and final for one that failed,
+    each holding the keys that `_RUN_RECORDS` lists for its kind with
+    values of the types it gives."""
     with open(path) as fh:
         try:
             lines = list(fh)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    records = {}
+    records, kinds = {}, []
     for lineno, line in enumerate(lines, 1):
         try:
             rec = json.loads(line)
@@ -420,12 +404,27 @@ def _read_records(path: str) -> dict:
         if not isinstance(rec, dict):
             raise ValueError(f"{path}: line {lineno} is not a JSON object")
         kind = rec.get("type")
-        keys = [a.removeprefix("trace_") for a in _RUN_RECORDS.get(kind, ())]
+        if not isinstance(kind, str) or kind not in _RUN_RECORDS:
+            raise ValueError(f"{path}: line {lineno} has type {kind!r}; a run file "
+                             "holds meta, trace and final records")
+        keys = {a.removeprefix("trace_"): types for a, types in _RUN_RECORDS[kind].items()}
         missing = [key for key in keys if key not in rec]
         if missing:
             raise ValueError(f"{path}: line {lineno}, the {kind} record, lacks "
                              f"{', '.join(map(repr, missing))}")
+        for key, types in keys.items():
+            if not _is_json_type(rec[key], types):
+                raise ValueError(f"{path}: line {lineno}, {kind} {key} must be "
+                                 f"{_type_names(types)}")
         records[kind] = rec
+        kinds.append(kind)
+    if "meta" not in records or "final" not in records:
+        raise ValueError(f"{path}: incomplete run record")
+    want = ["meta", "trace", "final"] if records["final"]["ok"] else ["meta", "final"]
+    if kinds != want:
+        run = "a successful" if records["final"]["ok"] else "a failed"
+        raise ValueError(f"{path}: the records are {', '.join(kinds)}, but {run} run's "
+                         f"are {', '.join(want)}")
     return records
 
 
@@ -435,29 +434,27 @@ def load_runs(out_dir: str):
 
     Files under ``runs/`` that the matrix does not name are ignored. A
     missing, unreadable or incomplete run file, a line that is not a JSON
-    object, a record without one of its keys, a meta record that differs
-    from the run that ``config.ini`` names there, or a trace that is not
-    one entry per evaluation ``1..n``, is an error that names the file.
+    object, records other than meta, trace and final (trace only for a run
+    that succeeded) in that order, a record without one of its keys or with
+    a value of another JSON type than the writer gives it, a meta record
+    that differs in a value or its type from the one the matrix gives that
+    run, or a trace that is not one entry per evaluation ``1..n``, is an
+    error that names the file.
     """
     cfg = load_config(os.path.join(out_dir, "config.ini"))
     results = []
-    for path, run in _matrix(cfg, out_dir):
+    for path, meta in _matrix(cfg, out_dir):
         records = _read_records(path)
-        if "meta" not in records or "final" not in records:
-            raise ValueError(f"{path}: incomplete run record")
-        for key, want in _meta(cfg, run).items():
+        for key, want in meta.items():
             got = records["meta"].get(key)
-            if got != want:
+            if got != want or type(got) is not type(want):
                 raise ValueError(f"{path}: meta {key} is {got!r} but config.ini gives "
                                  f"{want!r}; the file is from another experiment")
         res = RunResult(**{
             a: records[kind][a.removeprefix("trace_")]
-            for kind, attrs in _RUN_RECORDS.items() if kind in records
-            for a in attrs
+            for kind in records
+            for a in _RUN_RECORDS[kind]
         })
-        if not all(isinstance(t, list)
-                   for t in (res.trace_fes, res.trace_best, res.trace_nsel)):
-            raise ValueError(f"{path}: the trace's fes, best and nsel must be lists")
         n = len(res.trace_fes)
         if (res.trace_fes != list(range(1, n + 1))
                 or len(res.trace_best) != n or len(res.trace_nsel) != n):

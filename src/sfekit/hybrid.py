@@ -95,8 +95,9 @@ def sfe_ec_search(
     ``engine`` is called as ``engine(reduced_ds, ev, seed_mask, rng)`` with
     a column-reduced dataset, an evaluator continuing the unspent budget, a
     seed mask of all ones in the reduced space and the live random stream.
-    It must return a `SearchTrace` whose final mask lives in the reduced
-    space; overspending the budget or returning a malformed mask raises
+    It must return a `SearchTrace` with one entry per evaluation it spent
+    and a final mask in the reduced space; overspending the budget, a trace
+    that skips or invents evaluations, or a malformed mask raises
     `EngineContractError`. The handoff is skipped (stage one keeps
     running) while fewer than ``min_continuation_budget`` evaluations
     remain.
@@ -128,6 +129,11 @@ def sfe_ec_search(
     if ev2.used > ev2.budget:
         raise EngineContractError(
             f"engine spent {ev2.used} evaluations against a budget of {ev2.budget}"
+        )
+    if list(stage2.fes) != list(range(ev.used + 1, ev2.used + 1)):
+        raise EngineContractError(
+            f"engine spent {ev2.used - ev.used} evaluations from FE {ev.used + 1} on; "
+            "its trace must hold one entry for each, in order"
         )
     ev.used = ev2.used  # keep the caller's budget view exact across the handoff
     final_reduced = np.asarray(stage2.final_mask)

@@ -34,7 +34,6 @@ from sfekit import (
     stratified_kfold,
     wilcoxon_ranksum,
 )
-from sfekit.harness import _report_to_json
 from sfekit.sfe import compute_un, non_selection, selection, ur_schedule
 
 from util import blob_dataset, constant_dataset, keyed_dataset, write_dataset_csv
@@ -362,8 +361,7 @@ def test_criterion_9_rerun_determinism(tmp_path):
     )
     rep1 = run_experiment(cfg, str(tmp_path / "one"))
     rep2 = run_experiment(cfg, str(tmp_path / "two"))
-    reports_equal = (strip_timing(_report_to_json(rep1))
-                     == strip_timing(_report_to_json(rep2)))
+    reports_equal = strip_timing(rep1) == strip_timing(rep2)
 
     traces_equal = True
     for algo in cfg.algorithms:

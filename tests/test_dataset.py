@@ -3,7 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from sfekit import Dataset, DatasetError, load_csv, stratified_kfold, subset_columns
+from sfekit import (
+    Dataset,
+    DatasetError,
+    FoldAssignment,
+    load_csv,
+    stratified_kfold,
+    subset_columns,
+)
 
 from util import blob_dataset
 
@@ -119,12 +126,17 @@ def test_dataset_rejects_non_finite():
     X = np.array([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(DatasetError, match="non-finite"):
         Dataset(X=X, y=np.array([0, 1]))
+    with pytest.raises(DatasetError, match="labels must be non-negative class codes"):
+        Dataset(X=np.ones((2, 2)), y=np.array([0, -1]))
 
 
 def test_dataset_rejects_shape_mismatches():
     X = np.ones((3, 2))
     with pytest.raises(DatasetError):
         Dataset(X=X, y=np.array([0, 1]))
+    for X in (np.ones(3), np.ones((0, 2)), np.ones((3, 0))):
+        with pytest.raises(DatasetError, match="X must be a non-empty 2-D matrix"):
+            Dataset(X=X, y=np.zeros(len(X), dtype=int))
 
 
 def test_dataset_is_immutable():
@@ -183,6 +195,16 @@ def test_kfold_errors():
     lone = Dataset(X=np.ones((3, 2)), y=np.array([0, 0, 1]))
     with pytest.raises(DatasetError, match="single instance"):
         stratified_kfold(lone, 2, seed=0)
+    # an assignment built by hand is checked as well
+    for fold, k, message in [
+        (np.zeros(4, dtype=int), 1, "k must be at least 2"),
+        (np.zeros((2, 2), dtype=int), 2, "fold_of_instance must be a non-empty vector"),
+        (np.zeros(0, dtype=int), 2, "fold_of_instance must be a non-empty vector"),
+        (np.array([0, 1, 2]), 2, r"fold indices must lie in \[0, k\)"),
+        (np.array([0, -1, 1]), 2, r"fold indices must lie in \[0, k\)"),
+    ]:
+        with pytest.raises(DatasetError, match=message):
+            FoldAssignment(fold_of_instance=fold, k=k)
 
 
 def test_kfold_refuses_more_folds_than_the_largest_class():

@@ -241,6 +241,9 @@ def test_constructor_validation():
         FitnessEvaluator(ds, folds, budget=0)
     with pytest.raises(ValueError):
         FitnessEvaluator(ds, folds, knn_k=0)
+    for used in (-1, 6):
+        with pytest.raises(ValueError, match=r"used must lie in \[0, budget\]"):
+            FitnessEvaluator(ds, folds, budget=5, used=used)
     with pytest.raises(ValueError, match="smallest training split"):
         FitnessEvaluator(ds, folds, knn_k=9)
     other = blob_dataset(12, 3, seed=0)

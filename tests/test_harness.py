@@ -27,7 +27,6 @@ from sfekit import (
     write_config,
 )
 from sfekit.cli import main
-from sfekit.harness import _report_to_json
 
 from util import blob_dataset, write_dataset_csv
 
@@ -232,6 +231,9 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
         ("[hybrid]\nwarmup_fes = 10\nstagnation_window = 10\n",
          r"\[hybrid\] warmup_fes must exceed stagnation_window"),
         ("[hybrid]\nwindow = 3\n", r"unknown key 'window' in \[hybrid\]"),
+        # a misspelled section would otherwise leave every default in place
+        ("[experimnet]\nruns = 3\nbudget = 10\n[sfee]\nur_max = 5\n",
+         r"unknown section \[experimnet\]$"),
         ("[experiment]\nfixed_folds = maybe\n",
          r"\[experiment\] fixed_folds: cannot parse 'maybe' as bool"),
         ("[experiment]\nruns = two\n", r"\[experiment\] runs: cannot parse 'two' as int"),
@@ -315,17 +317,18 @@ def test_run_experiment_produces_full_outputs(corpus, tmp_path):
     out = tmp_path / "out"
     report = run_experiment(cfg, str(out))
 
-    assert report.reference == "sfe_pso"
-    assert sorted(report.cells) == sorted(
+    assert report["reference"] == "sfe_pso"
+    cells = {(a, d): st for a, row in report["cells"].items() for d, st in row.items()}
+    assert sorted(cells) == sorted(
         (a, d) for a in cfg.algorithms for d in ("alpha", "beta")
     )
-    for stats in report.cells.values():
-        assert stats.n_runs == 2 and stats.n_failed == 0
-        assert stats.worst <= stats.mean <= stats.best
+    for stats in cells.values():
+        assert stats["n_runs"] == 2 and stats["n_failed"] == 0
+        assert stats["worst"] <= stats["mean"] <= stats["best"]
     # two non-reference algorithms on two datasets, each with >= 2 runs
-    assert len(report.marks) == 4
-    assert set(report.friedman) == set(cfg.algorithms)
-    assert report.failures == []
+    assert sum("vs_reference" in stats for stats in cells.values()) == 4
+    assert set(report["friedman_mean_ranks"]) == set(cfg.algorithms)
+    assert report["failures"] == []
 
     assert (out / "config.ini").is_file()
     assert (out / "report.json").is_file()
@@ -387,7 +390,7 @@ def test_rerun_is_identical_except_timing(corpus, tmp_path):
     cfg = small_cfg(pa, algorithms=("sfe", "sfe_pso"))
     rep1 = run_experiment(cfg, str(tmp_path / "one"))
     rep2 = run_experiment(cfg, str(tmp_path / "two"))
-    assert strip_timing(_report_to_json(rep1)) == strip_timing(_report_to_json(rep2))
+    assert strip_timing(rep1) == strip_timing(rep2)
     for d, a, r in [("alpha", x, i) for x in cfg.algorithms for i in range(2)]:
         f1 = (tmp_path / "one" / "runs" / d / a / f"run_{r:04d}.jsonl").read_text()
         f2 = (tmp_path / "two" / "runs" / d / a / f"run_{r:04d}.jsonl").read_text()
@@ -402,7 +405,7 @@ def test_worker_pool_matches_serial_run(corpus, tmp_path):
     pooled = dataclasses.replace(serial, workers=2)
     rep1 = run_experiment(serial, str(tmp_path / "serial"))
     rep2 = run_experiment(pooled, str(tmp_path / "pooled"))
-    assert strip_timing(_report_to_json(rep1)) == strip_timing(_report_to_json(rep2))
+    assert strip_timing(rep1) == strip_timing(rep2)
 
 
 def test_report_roundtrips_through_persisted_runs(corpus, tmp_path):
@@ -411,7 +414,7 @@ def test_report_roundtrips_through_persisted_runs(corpus, tmp_path):
     out = tmp_path / "out"
     rep1 = run_experiment(cfg, str(out))
     rep2 = build_report(cfg, load_runs(str(out)))
-    assert _report_to_json(rep1) == _report_to_json(rep2)
+    assert rep1 == rep2
 
 
 def test_fold_seed_policy(corpus, tmp_path):
@@ -440,16 +443,18 @@ def test_failed_runs_are_recorded_not_fatal(corpus, tmp_path):
     cfg = small_cfg(pa, pb, algorithms=("sfe", "bpso"), budget=15, hybrid=SHORT_OF_ONE_WAVE)
     out = tmp_path / "out"
     report = run_experiment(cfg, str(out))
-    assert len(report.failures) == 4  # bpso on 2 datasets x 2 runs
+    assert len(report["failures"]) == 4  # bpso on 2 datasets x 2 runs
     assert all("budget remainder 15 cannot cover one wave of 20 particles" in f["error"]
-               for f in report.failures)
-    for (algorithm, _), stats in report.cells.items():
+               for f in report["failures"])
+    cells = [(a, st) for a, row in report["cells"].items() for st in row.values()]
+    for algorithm, stats in cells:
         if algorithm == "bpso":
-            assert stats.n_runs == 0 and stats.n_failed == 2
-            assert np.isnan(stats.mean)
+            assert stats["n_runs"] == 0 and stats["n_failed"] == 2
+            assert np.isnan(stats["mean"])
         else:
-            assert stats.n_runs == 2 and stats.n_failed == 0
-    assert report.friedman == {} and report.marks == {}
+            assert stats["n_runs"] == 2 and stats["n_failed"] == 0
+    assert report["friedman_mean_ranks"] == {}
+    assert not any("vs_reference" in stats for _, stats in cells)
     # the failure is visible in the persisted record and the text report
     rec = (out / "runs" / "alpha" / "bpso" / "run_0000.jsonl").read_text()
     assert '"ok": false' in rec
@@ -556,21 +561,43 @@ def test_load_runs_names_a_run_file_that_is_not_json(corpus, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["report", "converge"])
-@pytest.mark.parametrize("corruption", ["no accuracy", "a list line", "null fes",
-                                        "a directory", "not utf-8"])
+@pytest.mark.parametrize("corruption", [
+    "no accuracy", "a list line", "null fes", "a directory", "not utf-8",
+    "null n_selected", "text wall_time_s", "text accuracy", "text best", "text ok",
+    "float fes", "bool run_index", "no trace", "two traces", "a junk line",
+])
 def test_cli_names_a_malformed_run_file(corpus, tmp_path, capsys, command, corruption):
     _, pa, _ = corpus
     out = tmp_path / "out"
     run_experiment(small_cfg(pa, algorithms=("sfe",), runs=1, budget=20), str(out))
     path = out / "runs" / "alpha" / "sfe" / "run_0000.jsonl"
     meta, trace, final = map(json.loads, path.read_text().splitlines())
+    # one value of another JSON type than the writer gives it
+    retyped = {
+        "null n_selected": (final, "n_selected", None),
+        "text wall_time_s": (final, "wall_time_s", "s"),
+        "text accuracy": (final, "accuracy", "x"),
+        "text best": (trace, "best", ["x"] * len(trace["best"])),
+        "text ok": (final, "ok", "yes"),
+        "float fes": (trace, "fes", [float(f) for f in trace["fes"]]),
+        "bool run_index": (meta, "run_index", False),
+    }
     if corruption == "no accuracy":
         del final["accuracy"]
     if corruption == "null fes":
         trace["fes"] = None
+    if corruption in retyped:
+        rec, key, value = retyped[corruption]
+        rec[key] = value
     lines = [json.dumps(rec) for rec in (meta, trace, final)]
     if corruption == "a list line":
         lines.append("[1, 2]")
+    if corruption == "no trace":
+        del lines[1]
+    if corruption == "two traces":
+        lines.insert(1, lines[1])
+    if corruption == "a junk line":
+        lines.append('{"type": "junk"}')
     path.write_bytes("\n".join(lines).encode() + b"\n")
     if corruption == "not utf-8":
         path.write_bytes(path.read_bytes() + b"\xff\n")
@@ -582,6 +609,8 @@ def test_cli_names_a_malformed_run_file(corpus, tmp_path, capsys, command, corru
     assert main([command, str(out), *dest]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    if corruption in retyped:
+        assert f" {retyped[corruption][1]} " in err
 
 
 # ------------------------------------------------------------- convergence

@@ -70,6 +70,12 @@ def test_hybrid_params_validation():
         HybridParams(warmup_fes=10, stagnation_window=10)
     with pytest.raises(ValueError):
         HybridParams(stagnation_window=0)
+    # the hill climber scores its seed first, so it needs budget for that
+    ds = constant_dataset(n=20, d=10)
+    ev = make_ev(ds, budget=1)
+    ev.evaluate(np.ones(10, dtype=np.int8))
+    with pytest.raises(ValueError, match="needs at least one evaluation of budget"):
+        hillclimb_engine(ds, ev, np.ones(10, dtype=np.int8), np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- handoffs
@@ -282,6 +288,29 @@ def test_engine_may_not_overspend():
     ev = make_ev(ds, budget=60)
     with pytest.raises(EngineContractError, match="budget"):
         sfe_ec_search(ds, ev, engine, SMALL, seed=1)
+
+
+def test_engine_trace_must_hold_one_entry_per_evaluation():
+    ds = constant_dataset(n=20, d=10)
+
+    def skipping(reduced_ds, ev, seed_mask, rng):
+        t = SearchTrace()
+        for _ in range(ev.remaining_budget):
+            value = ev.evaluate(seed_mask)
+        t.offer(ev.used, value, seed_mask)  # the last evaluation only
+        return t
+
+    def inventing(reduced_ds, ev, seed_mask, rng):
+        t = SearchTrace()
+        t.offer(ev.used + 1, 50.0, seed_mask)  # an evaluation never charged
+        return t
+
+    for engine, spent in ((skipping, 29), (inventing, 0)):
+        ev = make_ev(ds, budget=60)
+        with pytest.raises(EngineContractError,
+                           match=f"^engine spent {spent} evaluations from FE 32 on; its "
+                                 "trace must hold one entry for each, in order$"):
+            sfe_ec_search(ds, ev, engine, SMALL, seed=1)
 
 
 def test_resolve_engine_names():

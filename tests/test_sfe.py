@@ -127,6 +127,15 @@ def test_params_validation():
         SfeParams(ur_min=0.5, ur_max=0.3)
     with pytest.raises(ValueError):
         SfeParams(sn=0)
+    # the operators check their own arguments
+    rng = np.random.default_rng(0)
+    for call, message in [
+        (lambda: compute_un(0.3, 0), "nvar must be positive"),
+        (lambda: selection(np.zeros(4, dtype=np.int8), 0, rng), "sn must be at least 1"),
+        (lambda: random_mask(0, rng), "nvar must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 # --------------------------------------------------------------- the search
