@@ -8,6 +8,7 @@ generation boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,11 @@ class PsoParams:
     def __post_init__(self):
         if self.pop_size < 1:
             raise ValueError("pop_size must be at least 1")
-        if self.w < 0 or self.c1 < 0 or self.c2 < 0:
-            raise ValueError("w, c1 and c2 must be non-negative")
-        if self.v_clamp <= 0:
-            raise ValueError("v_clamp must be positive")
+        # chained comparisons, so NaN fails them too
+        if not all(0 <= c < math.inf for c in (self.w, self.c1, self.c2)):
+            raise ValueError("w, c1 and c2 must be finite and non-negative")
+        if not 0 < self.v_clamp < math.inf:
+            raise ValueError("v_clamp must be finite and positive")
 
 
 def sigmoid(v):

@@ -66,6 +66,8 @@ def _apply_overrides(cfg, args):
     updates = {key: getattr(args, key) for key in scalars if getattr(args, key) is not None}
     if args.algo:
         updates["algorithms"] = tuple(_split_multi(args.algo))
+        if cfg.reference not in updates["algorithms"]:
+            updates["reference"] = ""  # the report marks against its default
     if args.dataset:
         by_name = {spec.name: spec for spec in cfg.datasets}
         chosen = []

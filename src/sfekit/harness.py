@@ -439,7 +439,12 @@ def load_runs(out_dir: str):
     a value of another JSON type than the writer gives it, a meta record
     that differs in a value or its type from the one the matrix gives that
     run, or a trace that is not one entry per evaluation ``1..n``, is an
-    error that names the file.
+    error that names the file. So are final values that contradict each
+    other: an ``n_selected`` other than the length of
+    ``selected_features``, selected features that are negative or not
+    strictly increasing, and for a successful run an empty trace or a last
+    trace entry whose ``nsel`` or ``best`` differs from ``n_selected`` or
+    ``accuracy``.
     """
     cfg = load_config(os.path.join(out_dir, "config.ini"))
     results = []
@@ -460,6 +465,22 @@ def load_runs(out_dir: str):
                 or len(res.trace_best) != n or len(res.trace_nsel) != n):
             raise ValueError(f"{path}: the trace must hold fes 1..{n} with one "
                              "best and one nsel value each")
+        sel = res.selected_features
+        if res.n_selected != len(sel):
+            raise ValueError(f"{path}: final n_selected is {res.n_selected} but "
+                             f"selected_features lists {len(sel)}")
+        if sel != sorted(set(sel)) or min(sel, default=0) < 0:
+            raise ValueError(f"{path}: final selected_features must be non-negative "
+                             "and strictly increasing")
+        if res.ok:
+            if n == 0:
+                raise ValueError(f"{path}: trace fes is empty, but the run succeeded")
+            if res.trace_nsel[-1] != res.n_selected:
+                raise ValueError(f"{path}: final n_selected is {res.n_selected} but "
+                                 f"the trace's last nsel is {res.trace_nsel[-1]}")
+            if res.trace_best[-1] != res.accuracy:
+                raise ValueError(f"{path}: final accuracy is {res.accuracy} but "
+                                 f"the trace's last best is {res.trace_best[-1]}")
         if res.accuracy is None:
             res.accuracy = float("nan")
         results.append(res)
@@ -475,7 +496,7 @@ def emit_convergence(out_dir: str, dest_dir: str) -> list:
     their last recorded value, which is exact for best-so-far series.
     Returns the list of files written.
     """
-    results = [r for r in load_runs(out_dir) if r.ok and r.trace_fes]
+    results = [r for r in load_runs(out_dir) if r.ok]
     groups = {}
     for res in results:
         groups.setdefault((res.dataset, res.algorithm), []).append(res)

@@ -48,7 +48,9 @@ class HybridParams:
 
     The check may only fire after ``warmup_fes`` evaluations, and compares
     best fitness against its value ``stagnation_window`` evaluations
-    earlier under exact equality.
+    earlier under exact equality. Both count the search's own evaluations,
+    its trace entries; with an evaluator that starts at 0 used, these are
+    the evaluator's FE numbers.
     """
 
     warmup_fes: int = 2000
@@ -63,22 +65,18 @@ class HybridParams:
             raise ValueError("warmup_fes must exceed stagnation_window")
 
 
-def stagnation_check(trace: SearchTrace, fes: int, params: HybridParams) -> bool:
-    """True when the best fitness at ``fes`` equals its value one window ago.
+def stagnation_check(trace: SearchTrace, params: HybridParams) -> bool:
+    """True when the trace's best fitness equals its value one window ago.
 
-    Never fires during the warm-up (fes <= warmup_fes). Exact float
-    equality: the greedy stage cannot regress, so equality over a whole
-    window means zero improvement.
+    Counts trace entries, one per evaluation the search charged, so it
+    never fires during the search's first ``warmup_fes`` evaluations
+    whatever the evaluator's starting count. Exact float equality: the
+    greedy stage cannot regress, so equality over a whole window means
+    zero improvement. ``warmup_fes > stagnation_window`` guarantees the
+    earlier entry exists.
     """
-    if fes <= params.warmup_fes:
-        return False
-    return trace.best_at(fes) == trace.best_at(fes - params.stagnation_window)
-
-
-def _map_to_parent(parent_positions: np.ndarray, reduced_mask, nvar: int) -> np.ndarray:
-    out = np.zeros(nvar, dtype=np.int8)
-    out[parent_positions[np.flatnonzero(reduced_mask)]] = 1
-    return out
+    best = trace.best_fitness
+    return len(best) > params.warmup_fes and best[-1] == best[-1 - params.stagnation_window]
 
 
 def sfe_ec_search(
@@ -96,8 +94,10 @@ def sfe_ec_search(
     a column-reduced dataset, an evaluator continuing the unspent budget, a
     seed mask of all ones in the reduced space and the live random stream.
     It must return a `SearchTrace` with one entry per evaluation it spent
-    and a final mask in the reduced space; overspending the budget, a trace
-    that skips or invents evaluations, or a malformed mask raises
+    and a final mask in the reduced space; an engine that spends nothing
+    must return the seed mask, the only mask whose fitness is known.
+    Lowering the evaluator's count or spending past the caller's budget, a
+    trace that skips or invents evaluations, or a malformed mask raises
     `EngineContractError`. The handoff is skipped (stage one keeps
     running) while fewer than ``min_continuation_budget`` evaluations
     remain.
@@ -111,7 +111,7 @@ def sfe_ec_search(
 
     def stop(trace):
         return (ev.remaining_budget >= min_continuation_budget
-                and stagnation_check(trace, trace.fes[-1], params))
+                and stagnation_check(trace, params))
 
     trace = sfe_search(ds, ev, params.sfe, rng, stop=stop)
     if ev.remaining_budget == 0:  # stage one only stops early when stop fires
@@ -119,6 +119,7 @@ def sfe_ec_search(
 
     frozen = trace.final_mask
     reduced = subset_columns(ds, frozen)
+    start = ev.used
     ev2 = ev.spawn(reduced)
     seed_mask = np.ones(reduced.n_features, dtype=np.int8)
 
@@ -126,13 +127,14 @@ def sfe_ec_search(
 
     if not isinstance(stage2, SearchTrace):
         raise EngineContractError("engine must return a SearchTrace")
-    if ev2.used > ev2.budget:
+    if not start <= ev2.used <= ev.budget:
         raise EngineContractError(
-            f"engine spent {ev2.used} evaluations against a budget of {ev2.budget}"
+            f"engine left {ev2.used} evaluations used; it must keep the {start} "
+            f"used at the handoff and stay within the caller's budget of {ev.budget}"
         )
-    if list(stage2.fes) != list(range(ev.used + 1, ev2.used + 1)):
+    if list(stage2.fes) != list(range(start + 1, ev2.used + 1)):
         raise EngineContractError(
-            f"engine spent {ev2.used - ev.used} evaluations from FE {ev.used + 1} on; "
+            f"engine spent {ev2.used - start} evaluations from FE {start + 1} on; "
             "its trace must hold one entry for each, in order"
         )
     ev.used = ev2.used  # keep the caller's budget view exact across the handoff
@@ -141,11 +143,15 @@ def sfe_ec_search(
         raise EngineContractError("engine's final mask is not in the reduced space")
     if not final_reduced.any():
         raise EngineContractError("engine's final mask selects no features")
+    if ev.used == start and not np.array_equal(final_reduced, seed_mask):
+        raise EngineContractError(
+            "engine spent nothing, so its final mask must be the seed mask")
 
-    trace.handoff_fes = trace.fes[-1]
+    trace.handoff_fes = start
     trace.handoff_mask = frozen
     trace.extend(stage2)
-    trace.final_mask = _map_to_parent(np.flatnonzero(frozen), final_reduced, ds.n_features)
+    trace.final_mask = np.zeros(ds.n_features, dtype=np.int8)
+    trace.final_mask[np.flatnonzero(frozen)[np.flatnonzero(final_reduced)]] = 1
     if len(stage2) > 0:
         trace.final_fitness = stage2.final_fitness
     return trace

@@ -12,7 +12,6 @@ keeps the running best, where ties keep the earlier mask.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +62,6 @@ class SearchTrace:
 
     def __len__(self) -> int:
         return len(self.fes)
-
-    def best_at(self, fes: int) -> float:
-        """Best fitness recorded at evaluation ``fes``."""
-        i = bisect_left(self.fes, fes)
-        if i == len(self.fes) or self.fes[i] != fes:
-            raise KeyError(f"no trace entry at FEs={fes}")
-        return self.best_fitness[i]
 
     def extend(self, other: "SearchTrace") -> None:
         """Append another phase's entries; FEs must keep increasing."""

@@ -98,6 +98,11 @@ def test_params_validation():
         PsoParams(v_clamp=0.0)
     with pytest.raises(ValueError):
         PsoParams(c1=-1.0)
+    # NaN fails every comparison, so it must be refused, not slip past them
+    for key in ("w", "c1", "c2", "v_clamp"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{key}.* must be finite"):
+                PsoParams(**{key: value})
 
 
 # ----------------------------------------------------------------- search

@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import json
 import os
@@ -26,7 +27,7 @@ from sfekit import (
     run_experiment,
     write_config,
 )
-from sfekit.cli import main
+from sfekit.cli import _apply_overrides, _build_parser, main
 
 from util import blob_dataset, write_dataset_csv
 
@@ -226,6 +227,7 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
     for body, where in [
         ("[sfe]\nsn = two\n", r"\[sfe\] sn: cannot parse 'two' as int"),
         ("[pso]\nw = fast\n", r"\[pso\] w: cannot parse 'fast' as float"),
+        ("[pso]\nv_clamp = nan\n", r"\[pso\] v_clamp must be finite and positive"),
         ("[experiment]\nalgorithms = sfe_ec:annealing\n",
          r"\[experiment\] algorithms: unknown continuation engine 'annealing'"),
         ("[hybrid]\nwarmup_fes = 10\nstagnation_window = 10\n",
@@ -565,6 +567,8 @@ def test_load_runs_names_a_run_file_that_is_not_json(corpus, tmp_path, capsys):
     "no accuracy", "a list line", "null fes", "a directory", "not utf-8",
     "null n_selected", "text wall_time_s", "text accuracy", "text best", "text ok",
     "float fes", "bool run_index", "no trace", "two traces", "a junk line",
+    "empty trace", "n_selected 99", "feature 500 first", "negative feature",
+    "accuracy 12.5", "another last nsel",
 ])
 def test_cli_names_a_malformed_run_file(corpus, tmp_path, capsys, command, corruption):
     _, pa, _ = corpus
@@ -582,13 +586,25 @@ def test_cli_names_a_malformed_run_file(corpus, tmp_path, capsys, command, corru
         "float fes": (trace, "fes", [float(f) for f in trace["fes"]]),
         "bool run_index": (meta, "run_index", False),
     }
+    # one value that contradicts another
+    sel = final["selected_features"]
+    contradicting = {
+        "n_selected 99": (final, "n_selected", 99),
+        "feature 500 first": (final, "selected_features", [500] + sel[1:]),
+        "negative feature": (final, "selected_features", [-1] + sel[1:]),
+        "accuracy 12.5": (final, "accuracy", 12.5),
+        "another last nsel": (trace, "nsel", trace["nsel"][:-1] + [trace["nsel"][-1] + 1]),
+    }
+    changed = retyped | contradicting
     if corruption == "no accuracy":
         del final["accuracy"]
     if corruption == "null fes":
         trace["fes"] = None
-    if corruption in retyped:
-        rec, key, value = retyped[corruption]
+    if corruption in changed:
+        rec, key, value = changed[corruption]
         rec[key] = value
+    if corruption == "empty trace":
+        trace.update(fes=[], best=[], nsel=[])
     lines = [json.dumps(rec) for rec in (meta, trace, final)]
     if corruption == "a list line":
         lines.append("[1, 2]")
@@ -609,8 +625,8 @@ def test_cli_names_a_malformed_run_file(corpus, tmp_path, capsys, command, corru
     assert main([command, str(out), *dest]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
-    if corruption in retyped:
-        assert f" {retyped[corruption][1]} " in err
+    if corruption in changed:
+        assert f" {changed[corruption][1]} " in err
 
 
 # ------------------------------------------------------------- convergence
@@ -669,6 +685,37 @@ def test_cli_run_report_converge(corpus, tmp_path, capsys):
     assert main(["converge", out, "--out", dest]) == 0
     listed = capsys.readouterr().out.splitlines()
     assert len(listed) == 4 and all(p.endswith(".csv") for p in listed)
+
+
+def test_cli_algo_keeps_the_configured_reference_only_if_it_runs(corpus, tmp_path):
+    root, pa, _ = corpus
+    ini = Path(write_ini(root, pa))
+    ini.write_text(ini.read_text().replace("seed = 3\n", "seed = 3\nreference = bpso\n"))
+    # left out, the reference falls back to pick_reference's default
+    for algo, reference in [("sfe", "sfe"), ("sfe,bpso", "bpso")]:
+        out = tmp_path / algo
+        assert main(["run", "--config", str(ini), "--out", str(out), "--runs", "1",
+                     "--algo", algo]) == 0
+        assert json.loads((out / "report.json").read_text())["reference"] == reference
+
+
+def test_readme_example_config_loads_and_takes_the_quick_pass_flags(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.S | re.M)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(block)
+    cfg = load_config(str(ini))  # opens no dataset file
+    # the README lists every [experiment] key
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    assert set(parser["experiment"]) == {
+        f.name for f in dataclasses.fields(ExperimentConfig)
+        if f.default is not dataclasses.MISSING and f.name != "datasets"}
+    # the README's filtered quick pass
+    args = _build_parser().parse_args(["run", "--config", str(ini), "--algo", "sfe",
+                                       "--runs", "5"])
+    quick = _apply_overrides(cfg, args)
+    assert (quick.algorithms, quick.runs, quick.pick_reference()) == (("sfe",), 5, "sfe")
 
 
 def test_cli_refuses_dirty_out_dir(corpus, tmp_path, capsys):

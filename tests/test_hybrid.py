@@ -29,40 +29,33 @@ def make_ev(ds, budget, folds_k=5, seed=1):
     return FitnessEvaluator(ds, folds, budget=budget)
 
 
-def flat_trace(n, value=50.0):
+def checks_after_each_entry(values):
+    """`stagnation_check` after recording each of ``values`` in turn."""
     t = SearchTrace()
-    for fes in range(1, n + 1):
+    fired = []
+    for fes, value in enumerate(values, 1):
         t.record(fes, value, 3)
-    return t
+        fired.append(stagnation_check(t, SMALL))
+    return fired
 
 
 # ----------------------------------------------------------- trigger logic
 
 def test_stagnation_never_fires_during_warmup():
-    t = flat_trace(30)
-    for fes in range(1, 31):
-        assert not stagnation_check(t, fes, SMALL)
+    assert not any(checks_after_each_entry([50.0] * 30))
 
 
 def test_stagnation_fires_first_eval_after_warmup_on_flat_trace():
-    t = flat_trace(31)
-    assert stagnation_check(t, 31, SMALL)
+    assert checks_after_each_entry([50.0] * 31) == [False] * 30 + [True]
 
 
 def test_stagnation_silent_while_improving():
-    t = SearchTrace()
-    for fes in range(1, 61):
-        t.record(fes, float(fes), 3)
-    for fes in range(1, 61):
-        assert not stagnation_check(t, fes, SMALL)
+    assert not any(checks_after_each_entry([float(fes) for fes in range(1, 61)]))
 
 
 def test_stagnation_requires_exact_equality():
-    t = SearchTrace()
-    for fes in range(1, 32):
-        value = 50.0 if fes <= 21 else 50.0 + 1e-12
-        t.record(fes, value, 3)
-    assert not stagnation_check(t, 31, SMALL)
+    values = [50.0 if fes <= 21 else 50.0 + 1e-12 for fes in range(1, 32)]
+    assert not checks_after_each_entry(values)[-1]
 
 
 def test_hybrid_params_validation():
@@ -116,7 +109,7 @@ def test_combined_trace_is_continuous_and_never_dips():
     assert all(a <= b for a, b in zip(trace.best_fitness, trace.best_fitness[1:]))
     # the swarm's first particle re-evaluates the frozen mask, so the best
     # series is exactly level across the boundary
-    assert trace.best_at(h + 1) == trace.best_at(h)
+    assert trace.best_fitness[h] == trace.best_fitness[h - 1]
 
 
 def test_identity_engine_returns_handoff_unchanged():
@@ -142,7 +135,7 @@ def test_hillclimb_engine_never_loses_the_handoff_fitness():
     trace = sfe_ec_search(ds, ev, hillclimb_engine, SMALL, seed=6, min_continuation_budget=1)
     assert trace.handoff_fes is not None
     assert ev.used == 120
-    assert trace.final_fitness >= trace.best_at(trace.handoff_fes)
+    assert trace.final_fitness >= trace.best_fitness[trace.handoff_fes - 1]
     assert all(a <= b for a, b in zip(trace.best_fitness, trace.best_fitness[1:]))
 
 
@@ -285,9 +278,18 @@ def test_engine_may_not_overspend():
         t.final_mask = seed_mask.copy()
         return t
 
-    ev = make_ev(ds, budget=60)
-    with pytest.raises(EngineContractError, match="budget"):
-        sfe_ec_search(ds, ev, engine, SMALL, seed=1)
+    def raising_its_budget(reduced_ds, ev, seed_mask, rng):
+        ev.budget = 1000
+        t = SearchTrace()
+        while ev.used < 100:
+            t.offer(ev.used + 1, ev.evaluate(seed_mask), seed_mask)
+        return t
+
+    # the engine is held to the caller's budget, not to its evaluator's own
+    for overspending in (engine, raising_its_budget):
+        ev = make_ev(ds, budget=60)
+        with pytest.raises(EngineContractError, match="caller's budget of 60"):
+            sfe_ec_search(ds, ev, overspending, SMALL, seed=1)
 
 
 def test_engine_trace_must_hold_one_entry_per_evaluation():
@@ -311,6 +313,52 @@ def test_engine_trace_must_hold_one_entry_per_evaluation():
                            match=f"^engine spent {spent} evaluations from FE 32 on; its "
                                  "trace must hold one entry for each, in order$"):
             sfe_ec_search(ds, ev, engine, SMALL, seed=1)
+
+
+def test_engine_may_not_lower_the_evaluators_count():
+    ds = constant_dataset(n=20, d=10)
+
+    def rewinding(reduced_ds, ev, seed_mask, rng):
+        ev.used = 0
+        t = SearchTrace()
+        t.final_mask = seed_mask.copy()
+        return t
+
+    ev = make_ev(ds, budget=60)
+    with pytest.raises(EngineContractError, match="31 used at the handoff"):
+        sfe_ec_search(ds, ev, rewinding, SMALL, seed=1)
+
+
+def test_warmup_counts_the_searchs_own_evaluations():
+    ds = constant_dataset(n=20, d=10)
+    params = HybridParams(warmup_fes=20, stagnation_window=10)
+
+    def idle(reduced_ds, ev, seed_mask, rng):
+        t = SearchTrace()
+        t.final_mask = seed_mask.copy()
+        return t
+
+    ev = FitnessEvaluator(ds, stratified_kfold(ds, 5, seed=1), budget=60, used=15)
+    trace = sfe_ec_search(ds, ev, idle, params, seed=1)
+    # the flat landscape stagnates at the first check after a whole warm-up
+    assert trace.handoff_fes == 15 + params.warmup_fes + 1
+    assert trace.fes == list(range(16, trace.handoff_fes + 1))
+    assert ev.used == trace.handoff_fes
+
+
+def test_an_engine_that_spends_nothing_must_return_its_seed_mask():
+    ds = blob_dataset(25, 10, seed=2)
+
+    def one_column(reduced_ds, ev, seed_mask, rng):
+        t = SearchTrace()
+        t.final_mask = np.zeros(reduced_ds.n_features, dtype=np.int8)
+        t.final_mask[0] = 1
+        return t
+
+    ev = make_ev(ds, budget=60)
+    with pytest.raises(EngineContractError, match="must be the seed mask"):
+        sfe_ec_search(ds, ev, one_column, SMALL, seed=1)
+    assert ev.used == 31  # the handoff came, and the engine spent nothing
 
 
 def test_resolve_engine_names():

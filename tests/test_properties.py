@@ -150,11 +150,9 @@ def test_offer_keeps_the_first_mask_to_reach_the_running_best(offer):
     keep = trace.final_mask.copy()
     masks[:] = 1 - masks
     assert np.array_equal(trace.final_mask, keep)
-    # entries only move forward, and only a recorded FE can be looked up
+    # entries only move forward
     with pytest.raises(ValueError, match="strictly increasing FEs"):
         trace.offer(len(values), values[0], masks[0])
-    with pytest.raises(KeyError, match=f"no trace entry at FEs={len(values) + 1}"):
-        trace.best_at(len(values) + 1)
 
 
 @st.composite
