@@ -7,7 +7,7 @@ import dataclasses
 import os
 import sys
 
-from .config import ConfigError, DatasetSpec, _parse_label_col, load_config
+from .config import ConfigError, DatasetSpec, load_config
 from .harness import build_report, emit_convergence, format_report, load_runs, run_experiment
 
 _OUT_ROOT_ENV = "SFEKIT_OUT"
@@ -75,13 +75,11 @@ def _apply_overrides(cfg, args):
             if entry in by_name:
                 chosen.append(by_name[entry])
             elif os.path.isfile(entry):
-                # stripped as config.ini strips it, so report finds the runs
-                name = os.path.splitext(os.path.basename(entry))[0].strip()
                 chosen.append(DatasetSpec(
-                    name=name,
+                    name=os.path.splitext(os.path.basename(entry))[0],
                     path=os.path.abspath(entry),
-                    label_col=_parse_label_col(args.label_col),
-                    has_header=args.header,
+                    label_col=args.label_col,
+                    header=args.header,
                 ))
             else:
                 raise ConfigError(

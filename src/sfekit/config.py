@@ -25,12 +25,27 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Where to find one dataset and how to read it."""
+    """Where to find one dataset and how to read it. The fields after
+    ``name`` are the keys of its ``[dataset:<name>]`` section. The name is
+    stripped, and a ``label_col`` that reads as an integer becomes a column
+    index; any other is stripped as a header name."""
 
     name: str
-    path: str
-    label_col: object = -1  # int index or header name
-    has_header: bool = False
+    path: str = ""
+    label_col: object = "-1"
+    header: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "name", self.name.strip())
+        if not self.name:
+            raise ConfigError("dataset name is empty")
+        if not self.path:
+            raise ConfigError("is missing 'path'")
+        try:
+            label_col = int(self.label_col)
+        except ValueError:
+            label_col = self.label_col.strip()
+        object.__setattr__(self, "label_col", label_col)
 
 
 @dataclass(frozen=True)
@@ -83,14 +98,6 @@ class ExperimentConfig:
         if "sfe_pso" in self.algorithms:
             return "sfe_pso"
         return self.algorithms[0]
-
-
-def _parse_label_col(raw: str):
-    raw = raw.strip()
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
 
 
 def _parse_value(raw, kind, where, section, key):
@@ -167,7 +174,7 @@ def load_config(path: str) -> ExperimentConfig:
     Relative dataset paths are resolved against the file's directory. The
     dataset files are not opened here; `run_experiment` opens those it runs.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -190,28 +197,15 @@ def load_config(path: str) -> ExperimentConfig:
             continue
         if not section.startswith("dataset:"):
             raise ConfigError(f"{path}: unknown section [{section}]")
-        name = section.split(":", 1)[1].strip()
-        if sections.setdefault(name, section) != section:
-            raise ConfigError(f"{path}: [{section}] repeats the dataset name {name!r} "
-                              f"of [{sections[name]}]")
-        items = dict(parser.items(section))
-        for key in items:
-            if key not in ("path", "label_col", "header"):
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-        if "path" not in items:
-            raise ConfigError(f"{path}: [{section}] is missing 'path'")
-        ds_path = items["path"]
-        if not os.path.isabs(ds_path):
-            ds_path = os.path.normpath(os.path.join(base, ds_path))
-        datasets.append(
-            DatasetSpec(
-                name=name,
-                path=ds_path,
-                label_col=_parse_label_col(items.get("label_col", "-1")),
-                has_header=_parse_value(items.get("header", "false"), bool,
-                                        path, section, "header"),
-            )
-        )
+        spec = _read_section(parser, section, DatasetSpec, path,
+                             name=section.split(":", 1)[1])
+        if sections.setdefault(spec.name, section) != section:
+            raise ConfigError(f"{path}: [{section}] repeats the dataset name "
+                              f"{spec.name!r} of [{sections[spec.name]}]")
+        if not os.path.isabs(spec.path):
+            spec = dataclasses.replace(
+                spec, path=os.path.normpath(os.path.join(base, spec.path)))
+        datasets.append(spec)
 
     hybrid = _read_section(
         parser, "hybrid", HybridParams, path,
@@ -225,16 +219,13 @@ def load_config(path: str) -> ExperimentConfig:
 def write_config(cfg: ExperimentConfig, path: str) -> None:
     """Persist a resolved config; `load_config` on the result round-trips,
     apart from ``out``, which names where the snapshot goes."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     _write_section(parser, "experiment", cfg, skip=("datasets", "out"))
     _write_section(parser, "sfe", cfg.hybrid.sfe)
     _write_section(parser, "pso", cfg.hybrid.pso)
     _write_section(parser, "hybrid", cfg.hybrid)
     for spec in cfg.datasets:
-        parser[f"dataset:{spec.name}"] = {
-            "path": os.path.abspath(spec.path),
-            "label_col": str(spec.label_col),
-            "header": _format_value(spec.has_header),
-        }
+        _write_section(parser, f"dataset:{spec.name}",
+                       dataclasses.replace(spec, path=os.path.abspath(spec.path)))
     with open(path, "w") as fh:
         parser.write(fh)

@@ -137,10 +137,13 @@ def load_csv(path, label_col=-1, has_header: bool = False) -> Dataset:
     Labels may be arbitrary tokens and are integer-coded in order of first
     appearance. Every other cell must parse as a finite float; parse errors
     report the offending row and column (1-based, counting the header).
-    The file is read in one pass, converting each row as it arrives.
+    The file is read in one pass, converting each row as it arrives. A
+    leading byte-order mark is skipped.
     """
     try:
         with open(path, newline="") as fh:
+            if fh.read(1) != "\ufeff":  # skip a byte-order mark, as Excel writes
+                fh.seek(0)
             return _read_rows(path, (row for row in csv.reader(fh) if row),
                               label_col, has_header)
     except UnicodeDecodeError as exc:

@@ -47,6 +47,7 @@ def _sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
     for s in range(0, len(A), step):
         block = A[s : s + step, None, :] - B[None, :, :]
         np.einsum("ijk,ijk->ij", block, block, out=out[s : s + step])
+        del block  # freed before the next chunk's block is allocated
     return out
 
 

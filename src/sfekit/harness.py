@@ -198,7 +198,7 @@ def _load_dataset(cfg: ExperimentConfig, spec: DatasetSpec) -> Dataset:
     counts, and one split decides for every fold seed."""
     if not os.path.isfile(spec.path):
         raise ConfigError(f"dataset {spec.name!r}: file not found: {spec.path}")
-    ds = load_csv(spec.path, label_col=spec.label_col, has_header=spec.has_header)
+    ds = load_csv(spec.path, label_col=spec.label_col, has_header=spec.header)
     try:
         FitnessEvaluator(ds, stratified_kfold(ds, cfg.folds, 0), knn_k=cfg.knn_k)
     except ValueError as exc:

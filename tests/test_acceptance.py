@@ -7,7 +7,6 @@ see the lines as they complete. The two Colon benchmark checks need the
 and skip with a note when it is absent.
 """
 
-import itertools
 import json
 import os
 import time
@@ -15,7 +14,6 @@ import time
 import numpy as np
 import pytest
 import scipy.spatial.distance
-import scipy.stats
 
 from sfekit import (
     DatasetSpec,
@@ -36,7 +34,15 @@ from sfekit import (
 )
 from sfekit.sfe import compute_un, non_selection, selection, ur_schedule
 
-from util import blob_dataset, constant_dataset, keyed_dataset, write_dataset_csv
+from util import (
+    blob_dataset,
+    constant_dataset,
+    keyed_dataset,
+    mask_from_one_based,
+    oracle_exact_p,
+    strip_timing,
+    write_dataset_csv,
+)
 
 
 def criterion(num, desc, ok, detail=""):
@@ -59,12 +65,6 @@ class PresetDraws:
 
     def random(self, shape=None):  # pragma: no cover
         raise AssertionError("unexpected uniform draw")
-
-
-def mask_from_one_based(features, nvar):
-    x = np.zeros(nvar, dtype=np.int8)
-    x[np.asarray(features) - 1] = 1
-    return x
 
 
 # -------------------------------------------------------------- criterion 1
@@ -252,20 +252,6 @@ def test_criterion_6_single_agent_is_faster_than_swarm(colon_runs):
 
 # -------------------------------------------------------------- criterion 7
 
-def exact_p_oracle(a, b):
-    pooled = np.concatenate([a, b]).astype(float)
-    ranks = scipy.stats.rankdata(pooled)
-    n1 = len(a)
-    w = ranks[:n1].sum()
-    at_most = at_least = total = 0
-    for combo in itertools.combinations(ranks, n1):
-        s = sum(combo)
-        total += 1
-        at_most += s <= w
-        at_least += s >= w
-    return min(1.0, 2.0 * min(at_most, at_least) / total)
-
-
 def mark_oracle(p, a, b, alpha=0.05):
     if p >= alpha:
         return Mark.APPROX
@@ -286,7 +272,7 @@ def test_criterion_7_statistics_oracles():
                 a = np.round(rng.normal(size=n1), 3)
                 b = np.round(rng.normal(0.5, size=n2), 3)
             p, mark = wilcoxon_ranksum(a, b, method="exact")
-            p_ref = exact_p_oracle(a, b)
+            p_ref = oracle_exact_p(a, b)
             if abs(p - p_ref) > 1e-9:
                 p_fail += 1
             pooled = np.concatenate([a, b])
@@ -340,15 +326,6 @@ def test_criterion_8_stagnation_handoff():
 
 
 # -------------------------------------------------------------- criterion 9
-
-def strip_timing(obj):
-    if isinstance(obj, dict):
-        return {k: strip_timing(v) for k, v in obj.items()
-                if k not in ("mean_time_s", "wall_time_s")}
-    if isinstance(obj, list):
-        return [strip_timing(v) for v in obj]
-    return obj
-
 
 def test_criterion_9_rerun_determinism(tmp_path):
     csv = tmp_path / "alpha.csv"

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sfekit import FitnessEvaluator, PsoParams, pso_search, stratified_kfold
+from sfekit import PsoParams, pso_search
 from sfekit.bpso import _repair_zero_rows, position_update, sigmoid, velocity_update
 
-from util import blob_dataset, constant_dataset
+from util import blob_dataset, constant_dataset, make_ev
 
 
 class StubUniform:
@@ -106,11 +106,6 @@ def test_params_validation():
 
 
 # ----------------------------------------------------------------- search
-
-def make_ev(ds, budget, folds_k=5, seed=1):
-    folds = stratified_kfold(ds, folds_k, seed=seed)
-    return FitnessEvaluator(ds, folds, budget=budget)
-
 
 def replay_initial_positions(seed, n, d):
     # documented sampling prelude: Bernoulli(0.5) positions, then uniform

@@ -29,6 +29,21 @@ def test_load_csv_codes_labels_by_first_appearance(tmp_path):
     assert ds.X.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    def with_bom(name, text):
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+        return str(tmp_path / name)
+
+    rows = ["a,1.0,2.0", "b,3.0,4.0", "a,5.0,6.0", "b,7.0,8.0"]
+    first = load_csv(with_bom("first.csv", "\n".join(rows) + "\n"), label_col=0)
+    headed = load_csv(with_bom("headed.csv", "cls,f1,f2\n" + "\n".join(rows) + "\n"),
+                      label_col="cls", has_header=True)
+    last = load_csv(with_bom("last.csv", "".join(r[2:] + "," + r[0] + "\n" for r in rows)))
+    for ds in (first, headed, last):
+        assert ds.y.tolist() == [0, 1, 0, 1]
+        assert ds.X.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+
+
 def test_load_csv_label_column_by_index_and_name(tmp_path):
     p = write(tmp_path / "d.csv", "cls,f1,f2\nx,1,2\ny,3,4\n")
     by_name = load_csv(p, label_col="cls", has_header=True)

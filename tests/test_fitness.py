@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -258,6 +259,30 @@ def test_empty_test_fold_is_refused():
     for fold_mean in (False, True):
         with pytest.raises(ValueError, match="fold 2 of 3 has no test instances"):
             FitnessEvaluator(ds, folds, fold_mean=fold_mean)
+
+
+def test_chunked_distances_are_exact_and_hold_one_block(monkeypatch):
+    ds = blob_dataset(40, 300, seed=6)
+    rng = np.random.default_rng(7)
+    masks = [rng.integers(0, 2, ds.n_features) for _ in range(4)]
+    want = [evaluator(ds)[0].evaluate(m) for m in masks]
+    A, B = rng.random((40, 500)), rng.random((160, 500))
+    whole = _sq_dists(A, B, np.empty((40, 160)))
+    monkeypatch.setattr(fitness, "_CHUNK_ELEMS", 5_000)  # a few rows per block
+    assert [evaluator(ds)[0].evaluate(m) for m in masks] == want
+
+    # one 1x160x500 block at a time: 640 KB of the 800 KB cap
+    cap = 100_000
+    monkeypatch.setattr(fitness, "_CHUNK_ELEMS", cap)
+    out = np.empty((40, 160))
+    tracemalloc.start()
+    try:
+        _sq_dists(A, B, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cap * 8
+    np.testing.assert_array_equal(out, whole)
 
 
 # ------------------------------------------------------- evaluate_at_least

@@ -29,7 +29,7 @@ from sfekit import (
 )
 from sfekit.cli import _apply_overrides, _build_parser, main
 
-from util import blob_dataset, write_dataset_csv
+from util import blob_dataset, strip_timing, write_dataset_csv
 
 
 @pytest.fixture()
@@ -61,18 +61,6 @@ def small_cfg(*paths, **over):
 # bpso spends whole waves of particles, so a budget of 15 cannot pay for one
 SHORT_OF_ONE_WAVE = HybridParams(warmup_fes=30, stagnation_window=10,
                                  pso=PsoParams(pop_size=20))
-
-
-def strip_timing(obj):
-    if isinstance(obj, dict):
-        return {
-            k: strip_timing(v)
-            for k, v in obj.items()
-            if k not in ("mean_time_s", "wall_time_s")
-        }
-    if isinstance(obj, list):
-        return [strip_timing(v) for v in obj]
-    return obj
 
 
 # ------------------------------------------------------------------- seeds
@@ -279,6 +267,61 @@ def test_config_names_both_sections_of_a_repeated_dataset_name(corpus, tmp_path)
     # a config built in code is checked by ExperimentConfig itself
     with pytest.raises(ConfigError, match="^duplicate dataset name 'a'$"):
         ExperimentConfig(datasets=(DatasetSpec("a", pa), DatasetSpec("a", pb)))
+
+
+def test_dataset_spec_checks_itself(corpus):
+    _, pa, pb = corpus
+    spec = DatasetSpec(" b ", pa)
+    assert (spec.name, spec.label_col, spec.header) == ("b", -1, False)
+    assert DatasetSpec("b", pa, "+0").label_col == 0
+    assert DatasetSpec("b", pa, " cls ").label_col == "cls"
+    assert DatasetSpec("b", pa, 2).label_col == 2
+    with pytest.raises(ConfigError, match="^dataset name is empty$"):
+        DatasetSpec(" ", pa)
+    with pytest.raises(ConfigError, match="^is missing 'path'$"):
+        DatasetSpec("b")
+    # names are compared stripped, as config.ini writes them
+    with pytest.raises(ConfigError, match="^duplicate dataset name 'a'$"):
+        ExperimentConfig(datasets=(DatasetSpec("a", pa), DatasetSpec(" a", pb)))
+
+
+def test_a_padded_dataset_name_built_in_code_reads_back(corpus, tmp_path):
+    _, pa, _ = corpus
+    out = tmp_path / "out"
+    report = run_experiment(small_cfg(algorithms=("sfe",), runs=1, budget=20,
+                                      datasets=(DatasetSpec("b ", pa),)), str(out))
+    assert list(report["cells"]["sfe"]) == ["b"]
+    assert os.listdir(out / "runs") == ["b"]
+    assert load_config(str(out / "config.ini")).datasets == (DatasetSpec("b", pa),)
+
+
+def test_cli_refuses_an_empty_dataset_name(corpus, tmp_path, capsys):
+    _, pa, _ = corpus
+    ini = tmp_path / "e.ini"
+    ini.write_text(f"[experiment]\nalgorithms = sfe\n[dataset: ]\npath = {pa}\n")
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {ini}: [dataset: ] dataset name is empty\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_are_literal_text(corpus, tmp_path, capsys):
+    _, pa, _ = corpus
+    pct = tmp_path / "pct%dir"
+    pct.mkdir()
+    os.replace(pa, pct / "d.csv")
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nalgorithms = sfe\nruns = 1\nbudget = 20\nfolds = 4\n"
+                   "[dataset:d]\npath = pct%dir/d.csv\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(ini), "--out", out]) == 0
+    assert f"path = {pct / 'd.csv'}\n" in Path(out, "config.ini").read_text()
+    capsys.readouterr()
+    assert main(["report", out]) == 0
+    assert re.search(r"^d +sfe +1 ", capsys.readouterr().out, re.M)
+    # '%%' is two characters, as any other text
+    ini.write_text("[dataset:d]\npath = pct%%dir/d.csv\nlabel_col = %(x)s\n")
+    spec = load_config(str(ini)).datasets[0]
+    assert (spec.path, spec.label_col) == (str(tmp_path / "pct%%dir" / "d.csv"), "%(x)s")
 
 
 def test_validate_catches_bad_matrices(corpus, tmp_path):

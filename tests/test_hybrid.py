@@ -19,14 +19,9 @@ from sfekit import (
     stratified_kfold,
 )
 
-from util import blob_dataset, constant_dataset
+from util import blob_dataset, constant_dataset, make_ev
 
 SMALL = HybridParams(warmup_fes=30, stagnation_window=10)
-
-
-def make_ev(ds, budget, folds_k=5, seed=1):
-    folds = stratified_kfold(ds, folds_k, seed=seed)
-    return FitnessEvaluator(ds, folds, budget=budget)
 
 
 def checks_after_each_entry(values):

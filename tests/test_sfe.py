@@ -4,7 +4,7 @@ import pytest
 from sfekit import FitnessEvaluator, SfeParams, sfe_search, stratified_kfold
 from sfekit.sfe import compute_un, non_selection, random_mask, selection, ur_schedule
 
-from util import blob_dataset, constant_dataset, keyed_dataset
+from util import blob_dataset, constant_dataset, keyed_dataset, make_ev, mask_from_one_based
 
 
 class StubDraws:
@@ -21,12 +21,6 @@ class StubDraws:
 
     def random(self, *a, **kw):  # pragma: no cover - not expected here
         raise AssertionError("unexpected random() draw")
-
-
-def mask_from_one_based(selected, nvar=20):
-    m = np.zeros(nvar, dtype=np.int8)
-    m[np.asarray(selected) - 1] = 1
-    return m
 
 
 # ----------------------------------------------------------- non_selection
@@ -139,11 +133,6 @@ def test_params_validation():
 
 
 # --------------------------------------------------------------- the search
-
-def make_ev(ds, budget, folds_k=5, seed=1):
-    folds = stratified_kfold(ds, folds_k, seed=seed)
-    return FitnessEvaluator(ds, folds, budget=budget)
-
 
 def test_random_mask_never_empty():
     rng = np.random.default_rng(0)

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -8,20 +7,7 @@ import scipy.stats
 from sfekit import Mark, friedman_mean_ranks, wilcoxon_ranksum
 from sfekit.stats import _midranks
 
-
-def oracle_exact_p(a, b):
-    """Brute-force two-sided permutation p for the rank-sum statistic."""
-    pooled = np.concatenate([a, b]).astype(float)
-    ranks = scipy.stats.rankdata(pooled)
-    n1 = len(a)
-    w = ranks[:n1].sum()
-    at_most = at_least = total = 0
-    for combo in itertools.combinations(ranks, n1):
-        s = sum(combo)
-        total += 1
-        at_most += s <= w
-        at_least += s >= w
-    return min(1.0, 2.0 * min(at_most, at_least) / total)
+from util import oracle_exact_p
 
 
 # ------------------------------------------------------------- rank-sum p

@@ -1,8 +1,11 @@
-"""Shared dataset builders for the test suite."""
+"""Shared dataset builders and oracles for the test suite."""
+
+import itertools
 
 import numpy as np
+import scipy.stats
 
-from sfekit import Dataset
+from sfekit import Dataset, FitnessEvaluator, stratified_kfold
 
 
 def blob_dataset(n, d, n_classes=2, seed=0, shift=2.5, informative=3):
@@ -49,3 +52,39 @@ def write_dataset_csv(path, ds, label_last=True):
             row = feats + [str(int(ds.y[i]))] if label_last else [str(int(ds.y[i]))] + feats
             fh.write(",".join(row) + "\n")
     return str(path)
+
+
+def make_ev(ds, budget, folds_k=5, seed=1):
+    folds = stratified_kfold(ds, folds_k, seed=seed)
+    return FitnessEvaluator(ds, folds, budget=budget)
+
+
+def mask_from_one_based(selected, nvar=20):
+    m = np.zeros(nvar, dtype=np.int8)
+    m[np.asarray(selected) - 1] = 1
+    return m
+
+
+def strip_timing(obj):
+    """A report or run record without its wall-clock fields."""
+    if isinstance(obj, dict):
+        return {k: strip_timing(v) for k, v in obj.items()
+                if k not in ("mean_time_s", "wall_time_s")}
+    if isinstance(obj, list):
+        return [strip_timing(v) for v in obj]
+    return obj
+
+
+def oracle_exact_p(a, b):
+    """Brute-force two-sided permutation p for the rank-sum statistic."""
+    pooled = np.concatenate([a, b]).astype(float)
+    ranks = scipy.stats.rankdata(pooled)
+    n1 = len(a)
+    w = ranks[:n1].sum()
+    at_most = at_least = total = 0
+    for combo in itertools.combinations(ranks, n1):
+        s = sum(combo)
+        total += 1
+        at_most += s <= w
+        at_least += s >= w
+    return min(1.0, 2.0 * min(at_most, at_least) / total)
