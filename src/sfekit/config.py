@@ -28,7 +28,7 @@ class DatasetSpec:
     """Where to find one dataset and how to read it. The fields after
     ``name`` are the keys of its ``[dataset:<name>]`` section. The name is
     stripped, and a ``label_col`` that reads as an integer becomes a column
-    index; any other is stripped as a header name."""
+    index; any other is stripped as a header name, and must not be blank."""
 
     name: str
     path: str = ""
@@ -45,6 +45,8 @@ class DatasetSpec:
             label_col = int(self.label_col)
         except ValueError:
             label_col = self.label_col.strip()
+            if not label_col:
+                raise ConfigError("label_col is empty") from None
         object.__setattr__(self, "label_col", label_col)
 
 

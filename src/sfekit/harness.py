@@ -10,10 +10,11 @@ replayed in isolation. A matrix that no run could complete is refused
 before anything is written; a run that fails on its own is recorded and
 skipped, and never takes the rest of the matrix down.
 
-Each record has one form. A run's meta record, as `_matrix` builds it, is
-both what its file holds and the identity that runs it and checks it. The
-report is the dict that ``report.json`` holds, with NaN in place of null,
-and `format_report` renders that same dict.
+Each record has one form, and each fact is stored once. A run file is one
+JSON object: the run's meta record, as `_matrix` builds it, which is also
+the identity that runs the run and checks its file, plus the values the
+run decides. The report is the dict that ``report.json`` holds, with NaN in
+place of null, and `format_report` renders that same dict.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,27 +47,25 @@ __all__ = [
     "derive_seed",
 ]
 
-_SCHEMA = 1
+_SCHEMA = 2
 
 _NULL = type(None)
 
-# Run-file schema 1: the RunResult attributes each record type carries, in
-# file order, each with the JSON types the writer gives its value: a tuple
-# of types, or a list of one item type. A bool does not count as an int.
-# Trace keys drop the "trace_" prefix. Failed runs have no trace.
-_RUN_RECORDS = {
-    "meta": {"algorithm": (str,), "dataset": (str,), "run_index": (int,), "seed": (int,),
-             "fold_seed": (int,)},
-    "trace": {"trace_fes": [int], "trace_best": [float], "trace_nsel": [int]},
-    "final": {"ok": (bool,), "error": (str, _NULL), "accuracy": (float, _NULL),
-              "n_selected": (int,), "selected_features": [int], "wall_time_s": (float,),
-              "handoff_fes": (int, _NULL)},
+# Run-file schema 2: the values that a run decides, each with the JSON types
+# the writer gives it: a tuple of types, or a list of one item type. A bool
+# does not count as an int. The file holds them beside the meta record.
+_RUN_TYPES = {
+    "ok": (bool,), "error": (str, _NULL), "selected_features": [int],
+    "wall_time_s": (float,), "handoff_fes": (int, _NULL),
+    "trace_best": [float], "trace_nsel": [int],
 }
 
 
 @dataclass
 class RunResult:
-    """Outcome of a single (algorithm, dataset, run) cell."""
+    """Outcome of a single (algorithm, dataset, run) cell. A failed run has
+    an empty trace. The trace holds one entry per evaluation, so its FE
+    numbers, the final accuracy and the feature count follow from it."""
 
     algorithm: str
     dataset: str
@@ -75,19 +74,28 @@ class RunResult:
     fold_seed: int
     ok: bool
     error: str = None
-    accuracy: float = float("nan")
-    n_selected: int = 0
     selected_features: list = field(default_factory=list)
     wall_time_s: float = 0.0
     handoff_fes: int = None
-    trace_fes: list = field(default_factory=list)
     trace_best: list = field(default_factory=list)
     trace_nsel: list = field(default_factory=list)
+
+    @property
+    def trace_fes(self) -> list:
+        return list(range(1, len(self.trace_best) + 1))
+
+    @property
+    def accuracy(self) -> float:
+        return self.trace_best[-1] if self.ok else math.nan
+
+    @property
+    def n_selected(self) -> int:
+        return len(self.selected_features)
 
 
 def _run_cell(args) -> RunResult:
     ds, hybrid, meta = args
-    identity = {a: meta[a] for a in _RUN_RECORDS["meta"]}
+    identity = {f.name: meta[f.name] for f in fields(RunResult) if f.name in meta}
     t0 = time.perf_counter()
     try:
         folds = stratified_kfold(ds, meta["folds"], meta["fold_seed"])
@@ -102,16 +110,12 @@ def _run_cell(args) -> RunResult:
             wall_time_s=time.perf_counter() - t0,
         )
     wall = time.perf_counter() - t0
-    sel = np.flatnonzero(trace.final_mask)
     return RunResult(
         **identity,
         ok=True,
-        accuracy=float(trace.final_fitness),
-        n_selected=int(len(sel)),
-        selected_features=[int(j) for j in sel],
+        selected_features=[int(j) for j in np.flatnonzero(trace.final_mask)],
         wall_time_s=wall,
         handoff_fes=trace.handoff_fes,
-        trace_fes=list(trace.fes),
         trace_best=list(trace.best_fitness),
         trace_nsel=list(trace.n_selected),
     )
@@ -139,8 +143,10 @@ def _matrix(cfg: ExperimentConfig, out_dir: str) -> list:
 
     The meta record, exactly as the run file holds it, is the run's
     identity: what `_run_cell` runs and what `load_runs` checks the file
-    against. Fold seeds derive from the run seed, or from the dataset alone
-    when ``fixed_folds`` is set so every run shares one split. Two datasets
+    against. It holds the search settings too, so a file made under other
+    ``[sfe]``, ``[pso]`` or ``[hybrid]`` values is refused. Fold seeds
+    derive from the run seed, or from the dataset alone when
+    ``fixed_folds`` is set so every run shares one split. Two datasets
     whose names map to one run file are refused.
     """
     runs, seeds, paths = [], {}, {}
@@ -161,17 +167,12 @@ def _matrix(cfg: ExperimentConfig, out_dir: str) -> list:
                 else:
                     fold_seed = derive_seed(seed, "folds")
                 runs.append((path, {
-                    "type": "meta", "schema": _SCHEMA, "algorithm": algorithm,
-                    "dataset": spec.name, "run_index": r, "seed": seed,
-                    "fold_seed": fold_seed, "budget": cfg.budget, "folds": cfg.folds,
-                    "knn_k": cfg.knn_k, "fold_mean": cfg.fold_mean,
+                    "schema": _SCHEMA, "algorithm": algorithm, "dataset": spec.name,
+                    "run_index": r, "seed": seed, "fold_seed": fold_seed,
+                    "budget": cfg.budget, "folds": cfg.folds, "knn_k": cfg.knn_k,
+                    "fold_mean": cfg.fold_mean, "hybrid": asdict(cfg.hybrid),
                 }))
     return runs
-
-
-def _record(kind: str, res: RunResult) -> dict:
-    return {"type": kind,
-            **{a.removeprefix("trace_"): getattr(res, a) for a in _RUN_RECORDS[kind]}}
 
 
 def _nan_to_null(record: dict) -> dict:
@@ -181,14 +182,12 @@ def _nan_to_null(record: dict) -> dict:
 
 
 def _persist_run(path: str, meta: dict, res: RunResult) -> None:
-    """Write ``meta`` and ``res`` to a temporary file and rename it over
-    ``path``, so a run file is either complete or absent."""
+    """Write ``meta`` and what ``res`` decided as one JSON line to a
+    temporary file and rename it over ``path``, so a run file is either
+    complete or absent."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path + ".tmp", "w") as fh:
-        fh.write(json.dumps(meta) + "\n")
-        if res.ok:
-            fh.write(json.dumps(_record("trace", res)) + "\n")
-        fh.write(json.dumps(_nan_to_null(_record("final", res))) + "\n")
+        fh.write(json.dumps(meta | {key: getattr(res, key) for key in _RUN_TYPES}) + "\n")
     os.replace(path + ".tmp", path)
 
 
@@ -385,106 +384,71 @@ def _type_names(types) -> str:
     return " or ".join("null" if t is _NULL else t.__name__ for t in types)
 
 
-def _read_records(path: str) -> dict:
-    """The records of one run file by type: meta, trace and final in that
-    order for a run that succeeded, meta and final for one that failed,
-    each holding the keys that `_RUN_RECORDS` lists for its kind with
-    values of the types it gives."""
+def _read_run(path: str, meta: dict) -> RunResult:
+    """The run that ``path`` holds, checked against its ``meta`` record."""
     with open(path) as fh:
         try:
-            lines = list(fh)
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    records, kinds = {}, []
-    for lineno, line in enumerate(lines, 1):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from None
-        if not isinstance(rec, dict):
-            raise ValueError(f"{path}: line {lineno} is not a JSON object")
-        kind = rec.get("type")
-        if not isinstance(kind, str) or kind not in _RUN_RECORDS:
-            raise ValueError(f"{path}: line {lineno} has type {kind!r}; a run file "
-                             "holds meta, trace and final records")
-        keys = {a.removeprefix("trace_"): types for a, types in _RUN_RECORDS[kind].items()}
-        missing = [key for key in keys if key not in rec]
-        if missing:
-            raise ValueError(f"{path}: line {lineno}, the {kind} record, lacks "
-                             f"{', '.join(map(repr, missing))}")
-        for key, types in keys.items():
-            if not _is_json_type(rec[key], types):
-                raise ValueError(f"{path}: line {lineno}, {kind} {key} must be "
-                                 f"{_type_names(types)}")
-        records[kind] = rec
-        kinds.append(kind)
-    if "meta" not in records or "final" not in records:
-        raise ValueError(f"{path}: incomplete run record")
-    want = ["meta", "trace", "final"] if records["final"]["ok"] else ["meta", "final"]
-    if kinds != want:
-        run = "a successful" if records["final"]["ok"] else "a failed"
-        raise ValueError(f"{path}: the records are {', '.join(kinds)}, but {run} run's "
-                         f"are {', '.join(want)}")
-    return records
+    line, _, rest = text.partition("\n")
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    if rec.get("schema", _SCHEMA) != _SCHEMA:
+        raise ValueError(f"{path}: run-file schema {rec['schema']!r}; this sfekit reads "
+                         f"schema {_SCHEMA} (rerun with sfekit run --force)")
+    if rest:
+        raise ValueError(f"{path}: holds more than one line")
+    missing = [key for key in (*meta, *_RUN_TYPES) if key not in rec]
+    if missing:
+        raise ValueError(f"{path}: lacks {', '.join(map(repr, missing))}")
+    for key, types in _RUN_TYPES.items():
+        if not _is_json_type(rec[key], types):
+            raise ValueError(f"{path}: {key} must be {_type_names(types)}")
+    for key, want in meta.items():
+        if rec[key] != want or type(rec[key]) is not type(want):
+            raise ValueError(f"{path}: meta {key} is {rec[key]!r} but config.ini gives "
+                             f"{want!r}; the file is from another experiment")
+    res = RunResult(**{f.name: rec[f.name] for f in fields(RunResult)})
+    best, nsel, sel = res.trace_best, res.trace_nsel, res.selected_features
+    if len(best) != len(nsel):
+        raise ValueError(f"{path}: trace_best holds {len(best)} values but trace_nsel "
+                         f"holds {len(nsel)}")
+    if sel != sorted(set(sel)) or min(sel, default=0) < 0:
+        raise ValueError(f"{path}: selected_features must be non-negative and strictly "
+                         "increasing")
+    if not res.ok and best:
+        raise ValueError(f"{path}: trace_best is not empty, but the run failed")
+    if res.ok and not best:
+        raise ValueError(f"{path}: trace_best is empty, but the run succeeded")
+    if res.ok and nsel[-1] != len(sel):
+        raise ValueError(f"{path}: trace_nsel ends in {nsel[-1]} but selected_features "
+                         f"lists {len(sel)}")
+    return res
 
 
 def load_runs(out_dir: str):
     """Read back the runs that the experiment's ``config.ini`` names, in
     matrix order.
 
-    Files under ``runs/`` that the matrix does not name are ignored. A
-    missing, unreadable or incomplete run file, a line that is not a JSON
-    object, records other than meta, trace and final (trace only for a run
-    that succeeded) in that order, a record without one of its keys or with
-    a value of another JSON type than the writer gives it, a meta record
-    that differs in a value or its type from the one the matrix gives that
-    run, or a trace that is not one entry per evaluation ``1..n``, is an
-    error that names the file. So are final values that contradict each
-    other: an ``n_selected`` other than the length of
-    ``selected_features``, selected features that are negative or not
-    strictly increasing, and for a successful run an empty trace or a last
-    trace entry whose ``nsel`` or ``best`` differs from ``n_selected`` or
-    ``accuracy``.
+    Files under ``runs/`` that the matrix does not name are ignored. Each
+    run file holds one line: a JSON object of the run's meta record and the
+    `RunResult` values that the run decided. An error names the file when
+    it is missing, unreadable, not one JSON object on one line, of another
+    schema, or lacks a key; when a value has another JSON type than the
+    writer gives it; when a meta value differs, in value or type, from the
+    one the matrix gives that run; and when its values contradict each
+    other: trace lists of unequal length, selected features that are
+    negative or not strictly increasing, a failed run with a trace, or a
+    successful run with an empty trace or a last ``trace_nsel`` other than
+    its selected-feature count.
     """
     cfg = load_config(os.path.join(out_dir, "config.ini"))
-    results = []
-    for path, meta in _matrix(cfg, out_dir):
-        records = _read_records(path)
-        for key, want in meta.items():
-            got = records["meta"].get(key)
-            if got != want or type(got) is not type(want):
-                raise ValueError(f"{path}: meta {key} is {got!r} but config.ini gives "
-                                 f"{want!r}; the file is from another experiment")
-        res = RunResult(**{
-            a: records[kind][a.removeprefix("trace_")]
-            for kind in records
-            for a in _RUN_RECORDS[kind]
-        })
-        n = len(res.trace_fes)
-        if (res.trace_fes != list(range(1, n + 1))
-                or len(res.trace_best) != n or len(res.trace_nsel) != n):
-            raise ValueError(f"{path}: the trace must hold fes 1..{n} with one "
-                             "best and one nsel value each")
-        sel = res.selected_features
-        if res.n_selected != len(sel):
-            raise ValueError(f"{path}: final n_selected is {res.n_selected} but "
-                             f"selected_features lists {len(sel)}")
-        if sel != sorted(set(sel)) or min(sel, default=0) < 0:
-            raise ValueError(f"{path}: final selected_features must be non-negative "
-                             "and strictly increasing")
-        if res.ok:
-            if n == 0:
-                raise ValueError(f"{path}: trace fes is empty, but the run succeeded")
-            if res.trace_nsel[-1] != res.n_selected:
-                raise ValueError(f"{path}: final n_selected is {res.n_selected} but "
-                                 f"the trace's last nsel is {res.trace_nsel[-1]}")
-            if res.trace_best[-1] != res.accuracy:
-                raise ValueError(f"{path}: final accuracy is {res.accuracy} but "
-                                 f"the trace's last best is {res.trace_best[-1]}")
-        if res.accuracy is None:
-            res.accuracy = float("nan")
-        results.append(res)
-    return results
+    return [_read_run(path, meta) for path, meta in _matrix(cfg, out_dir)]
 
 
 def emit_convergence(out_dir: str, dest_dir: str) -> list:
@@ -503,7 +467,7 @@ def emit_convergence(out_dir: str, dest_dir: str) -> list:
     _make_out_dir(dest_dir)
     written = []
     for (dataset, algorithm), group in sorted(groups.items()):
-        horizon = max(len(r.trace_fes) for r in group)
+        horizon = max(len(r.trace_best) for r in group)
         best = np.array([r.trace_best + r.trace_best[-1:] * (horizon - len(r.trace_best))
                          for r in group], dtype=np.float64)
         nsel = np.array([r.trace_nsel + r.trace_nsel[-1:] * (horizon - len(r.trace_nsel))

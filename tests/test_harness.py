@@ -1,4 +1,3 @@
-import configparser
 import dataclasses
 import json
 import os
@@ -167,18 +166,6 @@ def test_config_snapshot_golden(tmp_path):
     assert load_config(str(ini)) == ExperimentConfig(datasets=(spec,))
 
 
-def test_readme_ini_example_loads(tmp_path):
-    readme = Path(__file__).parent.parent.joinpath("README.md").read_text()
-    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
-    ini = tmp_path / "exp.ini"
-    ini.write_text(block)
-    cfg = load_config(str(ini))
-    assert cfg.out  # the example sets every [experiment] key, out too
-    listed = set(re.findall(r"^(\w+) =", block.split("\n[", 1)[0], re.M))
-    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"datasets", "hybrid"}
-    assert listed == keys
-
-
 def test_config_parses_all_sections(corpus, tmp_path):
     root, pa, _ = corpus
     ini = tmp_path / "exp.ini"
@@ -229,6 +216,9 @@ def test_config_rejects_unknown_keys(tmp_path, corpus):
         ("[experiment]\nruns = two\n", r"\[experiment\] runs: cannot parse 'two' as int"),
         ("[dataset:b]\npath = b.csv\nheader = sure\n",
          r"\[dataset:b\] header: cannot parse 'sure' as bool"),
+        # a blank header cell would otherwise become the label column
+        ("[dataset:b]\npath = b.csv\nlabel_col =\nheader = true\n",
+         r"\[dataset:b\] label_col is empty$"),
         ("[DEFAULT]\nruns = 3\n", r"\[DEFAULT\] is not supported"),
         # the retired policy is refused, not rerun as the linear schedule
         ("[sfe]\nun_policy = random_fraction\n",
@@ -280,6 +270,8 @@ def test_dataset_spec_checks_itself(corpus):
         DatasetSpec(" ", pa)
     with pytest.raises(ConfigError, match="^is missing 'path'$"):
         DatasetSpec("b")
+    with pytest.raises(ConfigError, match="^label_col is empty$"):
+        DatasetSpec("b", pa, " ")
     # names are compared stripped, as config.ini writes them
     with pytest.raises(ConfigError, match="^duplicate dataset name 'a'$"):
         ExperimentConfig(datasets=(DatasetSpec("a", pa), DatasetSpec(" a", pb)))
@@ -394,30 +386,33 @@ def test_run_jsonl_records_meta_trace_final(corpus, tmp_path):
     cfg = small_cfg(pa, algorithms=("sfe",), runs=1)
     out = tmp_path / "out"
     run_experiment(cfg, str(out))
-    lines = (out / "runs" / "alpha" / "sfe" / "run_0000.jsonl").read_text().splitlines()
-    meta, trace, final = (json.loads(x) for x in lines)
-    assert list(meta) == ["type", "schema", "algorithm", "dataset", "run_index", "seed",
-                          "fold_seed", "budget", "folds", "knn_k", "fold_mean"]
-    assert list(trace) == ["type", "fes", "best", "nsel"]
-    assert list(final) == ["type", "ok", "error", "accuracy", "n_selected",
-                           "selected_features", "wall_time_s", "handoff_fes"]
-    assert meta["type"] == "meta" and meta["schema"] == 1 and meta["budget"] == 60
-    assert meta["seed"] == derive_seed(3, "sfe", "alpha", 0)
-    assert trace["type"] == "trace"
-    assert trace["fes"] == list(range(1, 61))
-    assert len(trace["best"]) == 60 and len(trace["nsel"]) == 60
-    assert final["type"] == "final" and final["ok"]
-    assert final["n_selected"] == len(final["selected_features"])
+    (line,) = (out / "runs" / "alpha" / "sfe" / "run_0000.jsonl").read_text().splitlines()
+    rec = json.loads(line)
+    assert list(rec) == ["schema", "algorithm", "dataset", "run_index", "seed", "fold_seed",
+                         "budget", "folds", "knn_k", "fold_mean", "hybrid", "ok", "error",
+                         "selected_features", "wall_time_s", "handoff_fes", "trace_best",
+                         "trace_nsel"]
+    assert rec["schema"] == 2 and rec["budget"] == 60 and rec["ok"]
+    assert rec["seed"] == derive_seed(3, "sfe", "alpha", 0)
+    assert rec["hybrid"] == dataclasses.asdict(cfg.hybrid)
+    assert rec["hybrid"]["pso"]["pop_size"] == 5
+    assert len(rec["trace_best"]) == 60 and len(rec["trace_nsel"]) == 60
+    # the FE numbers, the accuracy and the feature count follow from the stored values
+    (res,) = load_runs(str(out))
+    assert res.trace_fes == list(range(1, 61))
+    assert res.accuracy == rec["trace_best"][-1]
+    assert res.n_selected == len(rec["selected_features"]) == rec["trace_nsel"][-1]
 
-    # a budget short of one particle wave fails the run: meta and final, no trace
+    # a budget short of one particle wave fails the run: the same keys, an empty trace
     bad = tmp_path / "bad"
     run_experiment(small_cfg(pa, algorithms=("bpso",), runs=1, budget=15,
                              hybrid=SHORT_OF_ONE_WAVE), str(bad))
-    lines = (bad / "runs" / "alpha" / "bpso" / "run_0000.jsonl").read_text().splitlines()
-    assert [json.loads(x)["type"] for x in lines] == ["meta", "final"]
-    assert '"accuracy": null' in lines[1]
-    final = json.loads(lines[1])
-    assert not final["ok"] and final["error"].startswith(
+    (line,) = (bad / "runs" / "alpha" / "bpso" / "run_0000.jsonl").read_text().splitlines()
+    failed = json.loads(line)
+    assert list(failed) == list(rec)
+    assert (failed["trace_best"], failed["trace_nsel"], failed["selected_features"]) == (
+        [], [], [])
+    assert not failed["ok"] and failed["error"].startswith(
         "ValueError: budget remainder 15 cannot cover one wave of 20 particles")
     (res,) = load_runs(str(bad))
     assert not res.ok and np.isnan(res.accuracy) and res.trace_fes == []
@@ -541,16 +536,17 @@ def test_run_files_are_written_atomically(corpus, tmp_path, monkeypatch):
     cfg = small_cfg(pa, algorithms=("sfe",), runs=1, budget=20)
     dumps = json.dumps
 
-    def fail_on_final(obj, *args, **kwargs):
-        if isinstance(obj, dict) and obj.get("type") == "final":
+    def fail_on_a_run(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "trace_best" in obj:
             raise OSError("disk full")
         return dumps(obj, *args, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", fail_on_final)
+    monkeypatch.setattr(json, "dumps", fail_on_a_run)
     out = tmp_path / "out"
     with pytest.raises(OSError, match="disk full"):
         run_experiment(cfg, str(out))
-    # the meta and trace lines were written, but never under the run's name
+    # the temporary file was opened, but never renamed to the run's name
+    assert (out / "runs" / "alpha" / "sfe" / "run_0000.jsonl.tmp").exists()
     assert not (out / "runs" / "alpha" / "sfe" / "run_0000.jsonl").exists()
 
     monkeypatch.undo()
@@ -574,16 +570,13 @@ def test_load_runs_refuses_bad_run_files(corpus, tmp_path):
     out = tmp_path / "out"
     run_experiment(small_cfg(pa, algorithms=("sfe",), runs=2, budget=20), str(out))
     path = out / "runs" / "alpha" / "sfe" / "run_0001.jsonl"
-    meta, trace, final = path.read_text().splitlines()
-    full = json.loads(trace)
-    gap = {k: (v if k == "type" else v[:5] + v[6:]) for k, v in full.items()}
-    short = dict(full, nsel=full["nsel"][:-1])
-    for bad in (gap, short):
-        path.write_text("\n".join([meta, json.dumps(bad), final]) + "\n")
-        for read in (lambda: load_runs(str(out)),
-                     lambda: emit_convergence(str(out), str(tmp_path / "curves"))):
-            with pytest.raises(ValueError, match=re.escape(f"{path}: the trace must hold fes")):
-                read()
+    rec = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(rec, trace_nsel=rec["trace_nsel"][:-1])) + "\n")
+    for read in (lambda: load_runs(str(out)),
+                 lambda: emit_convergence(str(out), str(tmp_path / "curves"))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: trace_best holds 20 values but trace_nsel holds 19")):
+            read()
     path.unlink()
     with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
         load_runs(str(out))
@@ -595,68 +588,65 @@ def test_load_runs_names_a_run_file_that_is_not_json(corpus, tmp_path, capsys):
     run_experiment(small_cfg(pa, algorithms=("sfe",), runs=1, budget=20), str(out))
     path = out / "runs" / "alpha" / "sfe" / "run_0000.jsonl"
     text = path.read_text()
-    cut = text[: len(text) // 2]
-    path.write_text(cut)
-    lineno = cut.count("\n") + 1
-    with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno} is not valid JSON: ")):
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not valid JSON: ")):
         load_runs(str(out))
     capsys.readouterr()
     assert main(["report", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: line {lineno} is not valid JSON")
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON")
 
 
 @pytest.mark.parametrize("command", ["report", "converge"])
 @pytest.mark.parametrize("corruption", [
-    "no accuracy", "a list line", "null fes", "a directory", "not utf-8",
-    "null n_selected", "text wall_time_s", "text accuracy", "text best", "text ok",
-    "float fes", "bool run_index", "no trace", "two traces", "a junk line",
-    "empty trace", "n_selected 99", "feature 500 first", "negative feature",
-    "accuracy 12.5", "another last nsel",
+    "a list line", "a directory", "not utf-8", "schema 1", "a missing key", "a second line",
+    "text wall_time_s", "text best", "text ok", "bool run_index",
+    "empty trace", "failed run with a trace", "feature 500 first", "negative feature",
+    "another last nsel",
 ])
 def test_cli_names_a_malformed_run_file(corpus, tmp_path, capsys, command, corruption):
     _, pa, _ = corpus
     out = tmp_path / "out"
     run_experiment(small_cfg(pa, algorithms=("sfe",), runs=1, budget=20), str(out))
     path = out / "runs" / "alpha" / "sfe" / "run_0000.jsonl"
-    meta, trace, final = map(json.loads, path.read_text().splitlines())
+    rec = json.loads(path.read_text())
     # one value of another JSON type than the writer gives it
     retyped = {
-        "null n_selected": (final, "n_selected", None),
-        "text wall_time_s": (final, "wall_time_s", "s"),
-        "text accuracy": (final, "accuracy", "x"),
-        "text best": (trace, "best", ["x"] * len(trace["best"])),
-        "text ok": (final, "ok", "yes"),
-        "float fes": (trace, "fes", [float(f) for f in trace["fes"]]),
-        "bool run_index": (meta, "run_index", False),
+        "text wall_time_s": ("wall_time_s", "s"),
+        "text best": ("trace_best", ["x"] * len(rec["trace_best"])),
+        "text ok": ("ok", "yes"),
+        "bool run_index": ("run_index", False),
     }
     # one value that contradicts another
-    sel = final["selected_features"]
+    sel, nsel = rec["selected_features"], rec["trace_nsel"]
     contradicting = {
-        "n_selected 99": (final, "n_selected", 99),
-        "feature 500 first": (final, "selected_features", [500] + sel[1:]),
-        "negative feature": (final, "selected_features", [-1] + sel[1:]),
-        "accuracy 12.5": (final, "accuracy", 12.5),
-        "another last nsel": (trace, "nsel", trace["nsel"][:-1] + [trace["nsel"][-1] + 1]),
+        "empty trace": ("trace_best", []),
+        "feature 500 first": ("selected_features", [500] + sel[1:]),
+        "negative feature": ("selected_features", [-1] + sel[1:]),
+        "another last nsel": ("trace_nsel", nsel[:-1] + [nsel[-1] + 1]),
     }
     changed = retyped | contradicting
-    if corruption == "no accuracy":
-        del final["accuracy"]
-    if corruption == "null fes":
-        trace["fes"] = None
     if corruption in changed:
-        rec, key, value = changed[corruption]
+        key, value = changed[corruption]
         rec[key] = value
     if corruption == "empty trace":
-        trace.update(fes=[], best=[], nsel=[])
-    lines = [json.dumps(rec) for rec in (meta, trace, final)]
+        rec["trace_nsel"] = []
+    if corruption == "failed run with a trace":
+        rec.update(ok=False, error="ValueError: x")
+    if corruption == "a missing key":  # a successful run without its trace
+        del rec["trace_best"], rec["trace_nsel"]
+    lines = [json.dumps(rec)]
+    if corruption == "schema 1":  # the layout of earlier versions: meta, trace and final
+        meta = {"type": "meta", "schema": 1, **{k: rec[k] for k in list(rec)[1:10]}}
+        trace = {"type": "trace", "fes": list(range(1, 21)), "best": rec["trace_best"],
+                 "nsel": nsel}
+        final = {"type": "final", "ok": True, "error": None, "accuracy": rec["trace_best"][-1],
+                 "n_selected": len(sel), "selected_features": sel,
+                 "wall_time_s": rec["wall_time_s"], "handoff_fes": None}
+        lines = [json.dumps(r) for r in (meta, trace, final)]
     if corruption == "a list line":
-        lines.append("[1, 2]")
-    if corruption == "no trace":
-        del lines[1]
-    if corruption == "two traces":
-        lines.insert(1, lines[1])
-    if corruption == "a junk line":
-        lines.append('{"type": "junk"}')
+        lines = ["[1, 2]"]
+    if corruption == "a second line":
+        lines.append(lines[0])
     path.write_bytes("\n".join(lines).encode() + b"\n")
     if corruption == "not utf-8":
         path.write_bytes(path.read_bytes() + b"\xff\n")
@@ -669,7 +659,17 @@ def test_cli_names_a_malformed_run_file(corpus, tmp_path, capsys, command, corru
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     if corruption in changed:
-        assert f" {changed[corruption][1]} " in err
+        assert f" {changed[corruption][0]} " in err
+    expected = {
+        "schema 1": "run-file schema 1; this sfekit reads schema 2 "
+                    "(rerun with sfekit run --force)",
+        "a missing key": "lacks 'trace_best', 'trace_nsel'",
+        "a second line": "holds more than one line",
+        "a list line": "not a JSON object",
+        "failed run with a trace": "trace_best is not empty, but the run failed",
+    }
+    if corruption in expected:
+        assert err == f"error: {path}: {expected[corruption]}\n"
 
 
 # ------------------------------------------------------------- convergence
@@ -748,12 +748,11 @@ def test_readme_example_config_loads_and_takes_the_quick_pass_flags(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text(block)
     cfg = load_config(str(ini))  # opens no dataset file
-    # the README lists every [experiment] key
-    parser = configparser.ConfigParser()
-    parser.read_string(block)
-    assert set(parser["experiment"]) == {
-        f.name for f in dataclasses.fields(ExperimentConfig)
-        if f.default is not dataclasses.MISSING and f.name != "datasets"}
+    assert cfg.out  # the example sets every [experiment] key, out too
+    # the README lists every [experiment] key; load_config refuses any other
+    listed = set(re.findall(r"^(\w+) =", block.split("\n[", 1)[0], re.M))
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"datasets", "hybrid"}
+    assert listed == keys
     # the README's filtered quick pass
     args = _build_parser().parse_args(["run", "--config", str(ini), "--algo", "sfe",
                                        "--runs", "5"])
@@ -841,6 +840,10 @@ def test_cli_adhoc_csv_dataset(corpus, tmp_path, capsys):
                  "--dataset", str(headed), "--header", "--label-col", " cls"]) == 0
     config = load_config(os.path.join(out, "config.ini"))
     assert config.datasets == (DatasetSpec("headed", str(headed), "cls", True),)
+    capsys.readouterr()
+    assert main(["run", "--config", ini, "--out", str(tmp_path / "blank"), "--algo", "sfe",
+                 "--dataset", str(headed), "--header", "--label-col", ""]) == 2
+    assert capsys.readouterr().err == "error: label_col is empty\n"
 
 
 def test_cli_error_paths(corpus, tmp_path, capsys):
@@ -866,8 +869,11 @@ def _incomplete_run_file(tmp_path, ini, out):
     assert main(["run", "--config", str(ini), "--out", out, "--runs", "1",
                  "--algo", "sfe"]) == 0
     path = Path(out, "runs", "alpha", "sfe", "run_0000.jsonl")
-    path.write_text(path.read_text().splitlines()[0] + "\n")
-    return ["report", out], f"error: {path}: incomplete run record\n"
+    rec = json.loads(path.read_text())
+    meta = {key: rec[key] for key in list(rec)[:11]}  # the meta record alone
+    path.write_text(json.dumps(meta) + "\n")
+    return ["report", out], (f"error: {path}: lacks 'ok', 'error', 'selected_features', "
+                             "'wall_time_s', 'handoff_fes', 'trace_best', 'trace_nsel'\n")
 
 
 def _no_algorithms(tmp_path, ini, out):
@@ -1024,6 +1030,22 @@ def test_report_refuses_run_files_from_another_experiment(corpus, tmp_path, caps
                                        "gives 40; the file is from another experiment\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: meta budget is 60")):
         load_runs(str(out))
+
+    # the meta record holds the [sfe], [pso] and [hybrid] settings too
+    first = out / "runs" / "alpha" / "sfe" / "run_0000.jsonl"
+    snapshot = out / "config.ini"
+    made = snapshot.read_text()
+    for was, now in [("pop_size = 5\n", "pop_size = 12\n"),
+                     ("ur_max = 0.3\n", "ur_max = 0.05\n")]:
+        assert made.count(was) == 1
+        snapshot.write_text(made.replace(was, now))  # the runs were made under `was`
+        key, value = now.split(" = ")
+        for argv in (["report", out], ["converge", out, "--out", tmp_path / "curves"]):
+            assert main([str(a) for a in argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {first}: meta hybrid is {{'warmup_fes': 30, ")
+            assert "but config.ini gives {'warmup_fes': 30, " in err
+            assert f"'{key}': {value.strip()}" in err
 
 
 def test_cli_default_out_dir_env(corpus, tmp_path, capsys, monkeypatch):
