@@ -742,17 +742,27 @@ def test_cli_algo_keeps_the_configured_reference_only_if_it_runs(corpus, tmp_pat
         assert json.loads((out / "report.json").read_text())["reference"] == reference
 
 
-def test_readme_example_config_loads_and_takes_the_quick_pass_flags(tmp_path):
+def _readme_ini(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.S | re.M)
     ini = tmp_path / "exp.ini"
     ini.write_text(block)
+    return ini, block
+
+
+def test_readme_ini_example_loads(tmp_path):
+    ini, block = _readme_ini(tmp_path)
     cfg = load_config(str(ini))  # opens no dataset file
     assert cfg.out  # the example sets every [experiment] key, out too
     # the README lists every [experiment] key; load_config refuses any other
     listed = set(re.findall(r"^(\w+) =", block.split("\n[", 1)[0], re.M))
     keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"datasets", "hybrid"}
     assert listed == keys
+
+
+def test_readme_example_config_loads_and_takes_the_quick_pass_flags(tmp_path):
+    ini, _ = _readme_ini(tmp_path)
+    cfg = load_config(str(ini))
     # the README's filtered quick pass
     args = _build_parser().parse_args(["run", "--config", str(ini), "--algo", "sfe",
                                        "--runs", "5"])
