@@ -75,12 +75,15 @@ def _apply_overrides(cfg, args):
             if entry in by_name:
                 chosen.append(by_name[entry])
             elif os.path.isfile(entry):
-                chosen.append(DatasetSpec(
-                    name=os.path.splitext(os.path.basename(entry))[0],
-                    path=os.path.abspath(entry),
-                    label_col=args.label_col,
-                    header=args.header,
-                ))
+                try:
+                    chosen.append(DatasetSpec(
+                        name=os.path.splitext(os.path.basename(entry))[0],
+                        path=os.path.abspath(entry),
+                        label_col=args.label_col,
+                        header=args.header,
+                    ))
+                except ConfigError as exc:
+                    raise ConfigError(f"--label-col for {entry}: {exc}") from None
             else:
                 raise ConfigError(
                     f"--dataset {entry!r} is neither a configured name nor a CSV file"

@@ -15,6 +15,60 @@ A search that reads only whether a candidate reaches a threshold asks
 expression scores the evaluation with every remaining test row right, and
 it returns -inf once that exact bound falls below the threshold, so later
 folds' distances are never computed. It is still charged one evaluation.
+
+Distances by the Gram identity, certified
+-----------------------------------------
+At k=1, a mask of `_GRAM_MIN` to `_GRAM_MAX` features takes its cross-fold
+distances from one matrix product per fold,
+``d~ = s_i + s_j - 2 x_i . x_j`` with the squared row norms
+``s = einsum("ij,ij->i")`` computed once per evaluation, instead of from
+`_sq_dists`'s difference blocks. The vote must still be the one the
+`_sq_dists` value ``E`` gives, bit for bit, so each test row's nearest
+neighbour is certified.
+
+The bound. Let ``u = 2**-53``, ``g(k) = k u / (1 - k u)``, ``D`` the exact
+squared distance of rows ``x`` and ``y`` over the m features, and
+``S = |x|^2 + |y|^2`` exactly, so ``D <= 2 S``. The bounds on sums of m
+terms below hold in any summation order, with or without fused
+multiply-adds, so they cover BLAS's blocking (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1 and section 3.1):
+
+- ``E`` rounds each difference and each square once, then sums the m
+  squares: ``|E - D| <= g(m + 2) D <= 2 g(m + 2) S``.
+- ``s_i``, ``s_j`` and ``x . y`` are sums of m products, off by at most
+  ``g(m) |x|^2``, ``g(m) |y|^2`` and ``g(m) sum |x_k y_k| <= g(m) S / 2``.
+  Scaling by -2 is exact, so ``s_i + s_j - 2 x . y`` is within ``2 g(m) S``
+  of ``D``. Its two additions round results of size at most ``2 S`` and
+  ``3 S`` (to first order), adding ``5 u S``.
+- Together ``|d~ - E| <= (4m + 9) u S`` to first order.
+
+The evaluator takes ``eps_i = (4m + 16) 2**-52 (s_i + max s)``. ``max s``
+bounds every training row's ``s_j``, and ``(4m + 16) 2**-52`` is about
+twice ``(4m + 9) u``: the margin covers the second-order terms,
+``S <= (s_i + s_j) / (1 - g(m))`` and the rounding of ``eps_i`` and of
+``low_i + 2 eps_i`` below. A product that underflows loses up to
+``2**-1075`` absolutely, and at most 5m of them reach one ``d~ - E``, so
+``eps_i`` also adds ``(4m + 16) 2**-1074``. When a squared norm reaches
+``2**1000``, or is not finite, the distances could overflow, and the
+evaluation keeps the difference blocks.
+
+The certificate. With ``low_i`` the least ``d~`` of test row i over its
+training rows, a row j that ties for the least ``E`` has
+``d~_j <= E_j + eps_i <= E_(argmin d~) + eps_i <= low_i + 2 eps_i``, so
+``C_i = {j : d~_j <= low_i + 2 eps_i}`` holds every exact nearest
+neighbour. If all of ``C_i`` share one label, the vote on ``d~`` already
+returns it. Otherwise the row's distances to ``C_i`` are recomputed by
+`_sq_dists` and the rest set to +inf, so the vote's lowest-index rule sees
+the ``E`` values it would have seen. That needs `_sq_dists` to give a pair
+the same bits in a 1 x c block as in a fold's block and in its transpose:
+a difference negates exactly, and up to `_GRAM_MAX` features numpy's
+einsum sums a pair's products in an order set by m alone (the property
+tests check this). Each voted fold still calls `_vote` once.
+
+The Gram identity cancels badly when the rows sit far from the origin
+relative to their spread (columns offset by 1e7, say): then most rows fall
+back, which is slow but still exact. Outside `_GRAM_MIN` to `_GRAM_MAX`
+features, and at ``knn_k > 1``, the difference blocks are used throughout.
 """
 
 from __future__ import annotations
@@ -29,6 +83,15 @@ __all__ = ["BudgetExhausted", "FitnessEvaluator"]
 
 # Cap on the element count of one broadcast distance block.
 _CHUNK_ELEMS = 16_000_000
+
+# Fewest selected features for which k=1 takes the certified Gram path. On
+# Colon-shaped data (62 x 2000, 2 vCPUs, OpenBLAS) one FE cost about the same
+# both ways at 44-48 features; the difference blocks are faster below.
+_GRAM_MIN = 48
+# Most selected features for it. Above 8192 (its iterator's buffer size),
+# numpy's einsum splits a pair's sum at points set by the pair's place in
+# the block, so the fallback's 1 x c blocks could not reproduce the bits.
+_GRAM_MAX = 8192
 
 
 class BudgetExhausted(RuntimeError):
@@ -49,6 +112,32 @@ def _sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.einsum("ijk,ijk->ij", block, block, out=out[s : s + step])
         del block  # freed before the next chunk's block is allocated
     return out
+
+
+def _gram_dists(Xs: np.ndarray, sq: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Distances from rows lo:hi of ``Xs`` to rows hi: by the Gram identity,
+    into ``out``; ``sq`` holds the squared norms of the rows of ``Xs``."""
+    np.matmul(Xs[lo:hi], Xs[hi:].T, out=out)
+    out *= -2.0
+    out += sq[lo:hi, None]
+    out += sq[None, hi:]
+
+
+def _certify_nearest(d2, eps, test_X, train_X, train_rows, train_y) -> None:
+    """Make the k=1 vote on Gram distances ``d2`` the one `_sq_dists` gives.
+
+    ``d2[i, j]`` is the distance from ``test_X[i]`` to ``train_X[train_rows[j]]``
+    and ``eps[i]`` bounds its error (module docstring). A row whose candidate
+    nearest neighbours disagree on the label gets their `_sq_dists`
+    distances and +inf elsewhere, in place.
+    """
+    near = d2 <= (d2.min(axis=1) + 2.0 * eps)[:, None]
+    first = train_y[np.argmin(d2, axis=1)]
+    for i in np.flatnonzero((near & (train_y != first[:, None])).any(axis=1)):
+        c = np.flatnonzero(near[i])
+        d2[i] = np.inf
+        d2[i, c] = _sq_dists(test_X[i : i + 1], train_X[train_rows[c]],
+                             np.empty((1, c.size)))[0]
 
 
 def _vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> np.ndarray:
@@ -207,15 +296,26 @@ class FitnessEvaluator:
         Xs = self.dataset.X.take(sel, axis=1).take(self._order, axis=0)
         n, k = Xs.shape[0], len(self._fold_rows)
         d2 = np.empty((n, n))
+        gram = self.knn_k == 1 and _GRAM_MIN <= sel.size <= _GRAM_MAX
+        if gram:
+            sq = np.einsum("ij,ij->i", Xs, Xs)
+            top = sq.max()
+            gram = top < 2.0**1000  # else the distances could overflow; false for nan
+            eps = (4 * sel.size + 16) * (2.0**-52 * (sq + top) + 2.0**-1074)
         missed = 0
         # A fold not yet voted on scores 1.0 (every row right), so `_score`
         # bounds the value from above and equals it after the last fold.
         per_fold = np.ones(k)
         for f, (lo, hi, cols, train_y, test_y) in enumerate(self._fold_rows):
             d2[lo:hi, :lo] = d2[:lo, lo:hi].T
-            if hi < n:
+            if hi < n and gram:
+                _gram_dists(Xs, sq, lo, hi, d2[lo:hi, hi:])
+            elif hi < n:
                 _sq_dists(Xs[lo:hi], Xs[hi:], d2[lo:hi, hi:])
-            pred = _vote(d2[lo:hi].take(cols, axis=1), train_y, self.knn_k)
+            block = d2[lo:hi].take(cols, axis=1)
+            if gram:
+                _certify_nearest(block, eps[lo:hi], Xs[lo:hi], Xs, cols, train_y)
+            pred = _vote(block, train_y, self.knn_k)
             hits = int(np.count_nonzero(pred == test_y))
             missed += test_y.size - hits
             per_fold[f] = hits / test_y.size

@@ -384,6 +384,21 @@ def _type_names(types) -> str:
     return " or ".join("null" if t is _NULL else t.__name__ for t in types)
 
 
+def _first_difference(key: str, got, want):
+    """(dotted key, got, want) at the first value of ``got`` that differs
+    from ``want`` in value or JSON type, or None. Dicts with the same keys
+    are compared key by key, so ``hybrid.pso.pop_size`` names one setting."""
+    if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
+        for k in want:
+            differs = _first_difference(f"{key}.{k}", got[k], want[k])
+            if differs:
+                return differs
+        return None
+    if got != want or type(got) is not type(want):
+        return key, got, want
+    return None
+
+
 def _read_run(path: str, meta: dict) -> RunResult:
     """The run that ``path`` holds, checked against its ``meta`` record."""
     with open(path) as fh:
@@ -410,9 +425,10 @@ def _read_run(path: str, meta: dict) -> RunResult:
         if not _is_json_type(rec[key], types):
             raise ValueError(f"{path}: {key} must be {_type_names(types)}")
     for key, want in meta.items():
-        if rec[key] != want or type(rec[key]) is not type(want):
-            raise ValueError(f"{path}: meta {key} is {rec[key]!r} but config.ini gives "
-                             f"{want!r}; the file is from another experiment")
+        differs = _first_difference(key, rec[key], want)
+        if differs:
+            raise ValueError(f"{path}: meta {differs[0]} is {differs[1]!r} but config.ini "
+                             f"gives {differs[2]!r}; the file is from another experiment")
     res = RunResult(**{f.name: rec[f.name] for f in fields(RunResult)})
     best, nsel, sel = res.trace_best, res.trace_nsel, res.selected_features
     if len(best) != len(nsel):

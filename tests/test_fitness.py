@@ -265,11 +265,12 @@ def test_chunked_distances_are_exact_and_hold_one_block(monkeypatch):
     ds = blob_dataset(40, 300, seed=6)
     rng = np.random.default_rng(7)
     masks = [rng.integers(0, 2, ds.n_features) for _ in range(4)]
-    want = [evaluator(ds)[0].evaluate(m) for m in masks]
+    # knn_k=3: k=1 masks this wide take the Gram path, not the difference blocks
+    want = [evaluator(ds, knn_k=3)[0].evaluate(m) for m in masks]
     A, B = rng.random((40, 500)), rng.random((160, 500))
     whole = _sq_dists(A, B, np.empty((40, 160)))
     monkeypatch.setattr(fitness, "_CHUNK_ELEMS", 5_000)  # a few rows per block
-    assert [evaluator(ds)[0].evaluate(m) for m in masks] == want
+    assert [evaluator(ds, knn_k=3)[0].evaluate(m) for m in masks] == want
 
     # one 1x160x500 block at a time: 640 KB of the 800 KB cap
     cap = 100_000

@@ -10,12 +10,15 @@ best-so-far series never falls, the final mask has as many features as
 the last entry records, and a handoff never comes inside the warm-up.
 Early-abandoned scoring is checked against exact scoring of the same mask,
 and both against a direct per-fold k-NN cross-validation on hand-built
-folds. `load_csv` is checked against a per-cell `float()` reader.
+folds, also for masks wide enough to take the certified Gram distances, on
+data made to tie and to cancel. `load_csv` is checked against a per-cell
+`float()` reader.
 """
 
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from sfekit import (
     stratified_kfold,
     subset_columns,
 )
+from sfekit import fitness
 from sfekit.fitness import _sq_dists, _vote
 
 from test_fitness import oracle_predict
@@ -251,6 +255,95 @@ def test_evaluate_matches_the_direct_per_fold_kernel(case):
         assert evaluator.evaluate(m) == want
         assert evaluator.evaluate_at_least(m, at_least) == (
             want if want >= at_least else -np.inf)
+
+
+def duplicated(rng, n, d):
+    return rng.normal(size=(n // 3, d))[rng.integers(0, n // 3, n)]
+
+
+# Data kinds for the Gram path: exact ties under `_sq_dists` (rounded, small
+# integers, duplicated rows, whose labels are drawn independently and so
+# conflict), and rows far from the origin, where the Gram identity cancels.
+# The offsets go on duplicated rows: two copies tie exactly under
+# `_sq_dists`, while the cancellation gives them different Gram distances.
+KINDS = {
+    "gaussian": lambda rng, n, d: rng.normal(size=(n, d)),
+    "rounded": lambda rng, n, d: np.round(rng.normal(size=(n, d)), 1),
+    "integers": lambda rng, n, d: rng.integers(0, 2, (n, d)).astype(float),
+    "duplicated": duplicated,
+    "offset 1e4": lambda rng, n, d: duplicated(rng, n, d) + 1e4,
+    "offset 1e7": lambda rng, n, d: duplicated(rng, n, d) + 1e7,
+}
+
+
+@st.composite
+def gram_cases(draw):
+    # masks on both sides of _GRAM_MIN, on hand-built unequal folds
+    n = draw(st.integers(9, 30))
+    k = draw(st.integers(2, 4))
+    fold = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    fold[draw(st.permutations(range(n)))[:k]] = np.arange(k)  # no empty fold
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    d = fitness._GRAM_MIN + draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mask = np.zeros(d, np.int8)
+    mask[rng.permutation(d)[:draw(st.integers(fitness._GRAM_MIN - 8, d))]] = 1
+    return dict(ds=Dataset(X=KINDS[kind](rng, n, d), y=rng.integers(0, 2, n)),
+                folds=FoldAssignment(fold_of_instance=fold, k=k), mask=mask, kind=kind,
+                fold_mean=draw(st.booleans()), at_least=100.0 * draw(st.integers(0, n)) / n)
+
+
+def test_gram_path_matches_the_direct_per_fold_kernel():
+    fallbacks = dict.fromkeys(KINDS, 0)  # rows whose vote the bound left in doubt
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=gram_cases())
+    def check(case):
+        ds, folds, mask = case["ds"], case["folds"], case["mask"]
+        want = per_fold_accuracy(ds, folds, mask, 1, case["fold_mean"])
+        ev = FitnessEvaluator(ds, folds, budget=2, fold_mean=case["fold_mean"])
+        calls = []
+
+        def counting(A, B, out):
+            calls.append(len(A))
+            return _sq_dists(A, B, out)
+
+        with mock.patch.object(fitness, "_sq_dists", counting):
+            assert ev.evaluate(mask) == want
+            at_least = case["at_least"]
+            assert ev.evaluate_at_least(mask, at_least) == (want if want >= at_least else -np.inf)
+        if mask.sum() >= fitness._GRAM_MIN:
+            assert set(calls) <= {1}  # only the fallback, one test row at a time
+            fallbacks[case["kind"]] += len(calls)
+
+    check()
+    assert fallbacks["gaussian"] == 0
+    assert fallbacks["integers"] and fallbacks["offset 1e4"] and fallbacks["offset 1e7"]
+
+
+@st.composite
+def pair_blocks(draw):
+    # rows of every kind, a split like a fold's, and a subset of training rows
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    n = draw(st.integers(6, 40))
+    d = draw(st.sampled_from([1, 2, 7, fitness._GRAM_MIN, 100, 1000, fitness._GRAM_MAX]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lo = draw(st.integers(0, n - 2))
+    hi = draw(st.integers(lo + 1, n - 1))
+    return KINDS[kind](rng, n, d), lo, hi, rng.permutation(n - hi)[:draw(st.integers(1, n - hi))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=pair_blocks())
+def test_a_pair_distance_has_the_same_bits_in_every_block(case):
+    # The Gram path's fallback recomputes one test row against a few
+    # training rows; its votes equal the fold blocks' only if these bits do.
+    X, lo, hi, c = case
+    block = _sq_dists(X[lo:hi], X[hi:], np.empty((hi - lo, len(X) - hi)))
+    transposed = _sq_dists(X[hi:], X[lo:hi], np.empty((len(X) - hi, hi - lo))).T
+    for i in range(hi - lo):
+        row = _sq_dists(X[lo + i : lo + i + 1], X[hi:][c], np.empty((1, c.size)))[0]
+        assert row.tobytes() == block[i, c].tobytes() == transposed[i, c].tobytes()
 
 
 def float_reader(path, label_col, has_header):
