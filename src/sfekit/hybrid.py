@@ -94,18 +94,16 @@ def sfe_ec_search(
     a column-reduced dataset, an evaluator continuing the unspent budget, a
     seed mask of all ones in the reduced space and the live random stream.
     It must return a `SearchTrace` with one entry per evaluation it spent
-    and a final mask in the reduced space; an engine that spends nothing
-    must return the seed mask, the only mask whose fitness is known.
-    Lowering the evaluator's count or spending past the caller's budget, a
-    trace that skips or invents evaluations, or a malformed mask raises
-    `EngineContractError`. The handoff is skipped (stage one keeps
-    running) while fewer than ``min_continuation_budget`` evaluations
-    remain.
+    and a final mask in the reduced space. Lowering the evaluator's count
+    or spending past the caller's budget, a trace that skips or invents
+    evaluations, or a malformed mask raises `EngineContractError`; ``ev``
+    counts what the engine spent also when it raises. The handoff is
+    skipped while fewer than ``min_continuation_budget`` evaluations remain.
 
-    The returned trace is stage one's, with the engine's entries appended
-    after the handoff, and its final mask is expressed in ``ds``'s own
-    index space; ``handoff_fes`` records where control changed hands, or
-    None when the trigger never fired.
+    The engine's entries join stage one's trace under the running-best
+    rule of `SearchTrace.offer`. Its final mask, mapped to ``ds``'s index
+    space, is taken only when the joined best beats the handoff fitness;
+    else the frozen mask is copied. ``handoff_fes`` is None if no handoff.
     """
     rng = np.random.default_rng(seed)
 
@@ -121,9 +119,10 @@ def sfe_ec_search(
     reduced = subset_columns(ds, frozen)
     start = ev.used
     ev2 = ev.spawn(reduced)
-    seed_mask = np.ones(reduced.n_features, dtype=np.int8)
-
-    stage2 = engine(reduced, ev2, seed_mask, rng)
+    try:
+        stage2 = engine(reduced, ev2, np.ones(reduced.n_features, dtype=np.int8), rng)
+    finally:  # keep the caller's budget view exact across the handoff
+        ev.used = min(max(ev2.used, start), ev.budget)
 
     if not isinstance(stage2, SearchTrace):
         raise EngineContractError("engine must return a SearchTrace")
@@ -137,23 +136,21 @@ def sfe_ec_search(
             f"engine spent {ev2.used - start} evaluations from FE {start + 1} on; "
             "its trace must hold one entry for each, in order"
         )
-    ev.used = ev2.used  # keep the caller's budget view exact across the handoff
     final_reduced = np.asarray(stage2.final_mask)
     if final_reduced.shape != (reduced.n_features,):
         raise EngineContractError("engine's final mask is not in the reduced space")
     if not final_reduced.any():
         raise EngineContractError("engine's final mask selects no features")
-    if ev.used == start and not np.array_equal(final_reduced, seed_mask):
-        raise EngineContractError(
-            "engine spent nothing, so its final mask must be the seed mask")
 
     trace.handoff_fes = start
     trace.handoff_mask = frozen
-    trace.extend(stage2)
-    trace.final_mask = np.zeros(ds.n_features, dtype=np.int8)
-    trace.final_mask[np.flatnonzero(frozen)[np.flatnonzero(final_reduced)]] = 1
-    if len(stage2) > 0:
-        trace.final_fitness = stage2.final_fitness
+    handoff_fitness = trace.final_fitness
+    for fes, best, n in zip(stage2.fes, stage2.best_fitness, stage2.n_selected):
+        if not trace._repeats_best(fes, best):
+            trace.record(fes, best, n)
+    trace.final_mask = frozen.copy()
+    if trace.final_fitness > handoff_fitness:
+        trace.final_mask[frozen != 0] = final_reduced != 0
     return trace
 
 
@@ -166,11 +163,10 @@ def sfe_pso_search(
     """Two-stage search whose continuation is BPSO on the reduced columns.
 
     The swarm's first particle starts as the full reduced mask, so its
-    first evaluation reproduces the handoff fitness and the combined
-    best-fitness series never dips. A handoff needs at least one whole
-    particle wave of budget; with less remaining, stage one simply runs
-    the budget out. This is the registry's ``sfe_pso``, the same search
-    as ``sfe_ec:pso``.
+    first evaluation reproduces the handoff fitness and the joined entries
+    equal the swarm's own. A handoff needs at least one whole particle
+    wave of budget; with less remaining, stage one runs the budget out.
+    This is the registry's ``sfe_pso``, the same search as ``sfe_ec:pso``.
     """
     return resolve_algorithm("sfe_pso", params)(ds, ev, seed)
 

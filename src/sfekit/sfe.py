@@ -137,7 +137,7 @@ def sfe_search(
     ``stop``, if given, is called after every recorded evaluation with the
     trace and may return True to end the run early; staged searches use it
     to take over at a stagnation point. Returns the trace with the final
-    mask and fitness filled in.
+    mask filled in.
     """
     rng = np.random.default_rng(seed)
     nvar = ds.n_features
@@ -165,5 +165,4 @@ def sfe_search(
         ur = ur_schedule(params, ev.used, max_fes)
 
     trace.final_mask = x
-    trace.final_fitness = fit_x
     return trace

@@ -6,8 +6,8 @@ count of the current best mask. Convergence curves and stagnation checks
 are both defined over this series.
 
 Two rules fill it. The single-agent search `record`s its incumbent, which
-moves on ties. Every other search `offer`s each evaluation and the trace
-keeps the running best, where ties keep the earlier mask.
+moves on ties. Every other search `offer`s each evaluation, and the hybrid
+joins its engine's entries, under the running best: ties keep the earlier.
 """
 
 from __future__ import annotations
@@ -24,20 +24,23 @@ class SearchTrace:
     """Trace of one search run.
 
     ``fes``, ``best_fitness`` and ``n_selected`` are parallel lists indexed
-    by evaluation. ``final_mask`` is the best mask at termination, in the
-    index space of the dataset the search was handed. Staged searches set
-    ``handoff_fes`` to the evaluation at which control changed hands and
-    ``handoff_mask`` to the mask frozen there (both None when no handoff
-    happened).
+    by evaluation; ``final_fitness`` reads the last best (NaN when empty).
+    ``final_mask`` is the best mask at termination, in the index space of
+    the dataset the search was handed. Staged searches set ``handoff_fes``
+    to the evaluation at which control changed hands and ``handoff_mask``
+    to the mask frozen there (both None when no handoff happened).
     """
 
     fes: list = field(default_factory=list)
     best_fitness: list = field(default_factory=list)
     n_selected: list = field(default_factory=list)
     final_mask: np.ndarray = None
-    final_fitness: float = float("nan")
     handoff_fes: int = None
     handoff_mask: np.ndarray = None
+
+    @property
+    def final_fitness(self) -> float:
+        return self.best_fitness[-1] if self.best_fitness else float("nan")
 
     def record(self, fes: int, best: float, n_selected: int) -> None:
         if self.fes and fes <= self.fes[-1]:
@@ -49,21 +52,22 @@ class SearchTrace:
     def offer(self, fes: int, value: float, mask) -> None:
         """Record evaluation ``fes`` of ``mask`` under the running-best rule.
 
-        The entry, ``final_mask`` (a copy) and ``final_fitness`` change only
-        when ``value`` beats the best so far strictly; otherwise the entry
-        repeats the previous one.
+        The entry and ``final_mask`` (a copy) change only when ``value``
+        beats the best so far strictly; otherwise the entry repeats the
+        previous one.
         """
-        if self.fes and not value > self.best_fitness[-1]:
-            self.record(fes, self.best_fitness[-1], self.n_selected[-1])
-            return
-        self.record(fes, value, np.count_nonzero(mask))
-        self.final_mask = np.array(mask, dtype=np.int8)
-        self.final_fitness = float(value)
+        if not self._repeats_best(fes, value):
+            self.record(fes, value, np.count_nonzero(mask))
+            self.final_mask = np.array(mask, dtype=np.int8)
 
     def __len__(self) -> int:
         return len(self.fes)
 
-    def extend(self, other: "SearchTrace") -> None:
-        """Append another phase's entries; FEs must keep increasing."""
-        for f, b, n in zip(other.fes, other.best_fitness, other.n_selected):
-            self.record(f, b, n)
+    def _repeats_best(self, fes: int, value: float) -> bool:
+        """Running-best rule of `offer` and the hybrid's handoff: unless
+        ``value`` beats the best strictly, repeat the last entry at ``fes``
+        and return True."""
+        if self.fes and not value > self.best_fitness[-1]:
+            self.record(fes, self.best_fitness[-1], self.n_selected[-1])
+            return True
+        return False

@@ -341,19 +341,98 @@ def test_warmup_counts_the_searchs_own_evaluations():
     assert ev.used == trace.handoff_fes
 
 
-def test_an_engine_that_spends_nothing_must_return_its_seed_mask():
+def one_column(reduced_ds):
+    mask = np.zeros(reduced_ds.n_features, dtype=np.int8)
+    mask[0] = 1
+    return mask
+
+
+def test_an_idle_engine_leaves_the_frozen_mask():
     ds = blob_dataset(25, 10, seed=2)
 
-    def one_column(reduced_ds, ev, seed_mask, rng):
+    def idle(reduced_ds, ev, seed_mask, rng):
         t = SearchTrace()
-        t.final_mask = np.zeros(reduced_ds.n_features, dtype=np.int8)
-        t.final_mask[0] = 1
+        t.final_mask = one_column(reduced_ds)  # never scored, so never taken
         return t
 
     ev = make_ev(ds, budget=60)
-    with pytest.raises(EngineContractError, match="must be the seed mask"):
-        sfe_ec_search(ds, ev, one_column, SMALL, seed=1)
-    assert ev.used == 31  # the handoff came, and the engine spent nothing
+    trace = sfe_ec_search(ds, ev, idle, SMALL, seed=1)
+    assert ev.used == trace.handoff_fes == len(trace) == 31  # the engine spent nothing
+    assert np.array_equal(trace.final_mask, trace.handoff_mask)
+    assert trace.final_mask is not trace.handoff_mask
+    assert trace.final_fitness == trace.best_fitness[-1]
+
+
+def test_an_engine_worse_than_the_frozen_mask_leaves_it_in_place():
+    ds = blob_dataset(25, 10, seed=2)
+    scored = []
+
+    def worse(reduced_ds, ev, seed_mask, rng):
+        t = SearchTrace()
+        mask = one_column(reduced_ds)
+        scored.append(ev.evaluate(mask))
+        t.offer(ev.used, scored[-1], mask)
+        return t
+
+    ev = make_ev(ds, budget=60)
+    trace = sfe_ec_search(ds, ev, worse, SMALL, seed=1)
+    h = trace.handoff_fes
+    assert h == 31 and ev.used == 32
+    assert scored[0] < trace.best_fitness[h - 1]  # the engine's one mask lost
+    assert all(a <= b for a, b in zip(trace.best_fitness, trace.best_fitness[1:]))
+    # the engine's entry repeats the handoff's, and the frozen mask stays
+    assert (trace.best_fitness[h], trace.n_selected[h]) == (
+        trace.best_fitness[h - 1], trace.n_selected[h - 1])
+    assert np.array_equal(trace.final_mask, trace.handoff_mask)
+    assert trace.final_fitness == trace.best_fitness[h - 1]
+
+
+def test_a_recording_engine_gives_the_final_fitness_of_its_last_entry():
+    ds = constant_dataset(n=20, d=10)
+
+    def recording(reduced_ds, ev, seed_mask, rng):
+        # fills its trace with `record`, as `sfe_search` does
+        t = SearchTrace()
+        while ev.remaining_budget > 0:
+            t.record(ev.used + 1, ev.evaluate(seed_mask), seed_mask.sum())
+        t.final_mask = seed_mask.copy()
+        return t
+
+    ev = make_ev(ds, budget=60)
+    trace = sfe_ec_search(ds, ev, recording, SMALL, seed=1)
+    assert trace.handoff_fes == 31 and len(trace) == ev.used == 60
+    assert trace.final_fitness == trace.best_fitness[-1] == 50.0
+
+
+def test_final_fitness_is_read_from_the_last_entry():
+    t = SearchTrace()
+    assert np.isnan(t.final_fitness)
+    t.record(1, 50.0, 3)
+    assert t.final_fitness == 50.0
+    with pytest.raises(AttributeError):
+        t.final_fitness = 75.0
+    with pytest.raises(TypeError):
+        SearchTrace(final_fitness=75.0)
+
+
+def test_a_raising_engine_is_charged_what_it_spent():
+    ds = constant_dataset(n=20, d=10)
+
+    def spending(reduced_ds, ev, seed_mask, rng):
+        for _ in range(5):
+            ev.evaluate(seed_mask)
+        raise RuntimeError("engine failed")
+
+    def overspending(reduced_ds, ev, seed_mask, rng):
+        ev.used = ev.budget + 5
+        raise RuntimeError("engine failed")
+
+    # the count stays within the handoff's 31 and the caller's budget of 60
+    for engine, used in ((spending, 36), (overspending, 60)):
+        ev = make_ev(ds, budget=60)
+        with pytest.raises(RuntimeError, match="engine failed"):
+            sfe_ec_search(ds, ev, engine, SMALL, seed=1)
+        assert ev.used == used
 
 
 def test_resolve_engine_names():

@@ -8,6 +8,8 @@ satisfy whatever the data: the trace has one entry per charged evaluation,
 the budget is spent (whole particle waves for the swarm searches), the
 best-so-far series never falls, the final mask has as many features as
 the last entry records, and a handoff never comes inside the warm-up.
+Custom continuation engines, also ones whose every offer is worse than
+the handoff, are held to the same trace and final-mask invariants.
 Early-abandoned scoring is checked against exact scoring of the same mask,
 and both against a direct per-fold k-NN cross-validation on hand-built
 folds, also for masks wide enough to take the certified Gram distances, on
@@ -38,11 +40,13 @@ from sfekit import (
     SearchTrace,
     load_csv,
     resolve_algorithm,
+    sfe_ec_search,
     stratified_kfold,
     subset_columns,
 )
 from sfekit import fitness
 from sfekit.fitness import _sq_dists, _vote
+from sfekit.sfe import random_mask
 
 from test_fitness import oracle_predict
 from util import blob_dataset
@@ -102,6 +106,43 @@ def test_budget_trace_and_handoff_invariants(name, run):
         assert name not in ("sfe", "bpso")
         assert params.warmup_fes < trace.handoff_fes < ev.used
         # the continuation searched only the columns frozen at the handoff
+        assert set(np.flatnonzero(trace.final_mask)) <= set(np.flatnonzero(trace.handoff_mask))
+
+
+@st.composite
+def custom_engines(draw):
+    """An engine that offers a drawn share of the remaining budget in random
+    reduced-space masks. With a penalty every offer reads below any
+    fitness, so all of them are worse than the handoff; an idle engine
+    returns a random mask it never scored."""
+    share = draw(st.floats(0.0, 1.0))
+    penalty = draw(st.sampled_from([0.0, 101.0]))
+    mask_rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+
+    def engine(reduced_ds, ev, seed_mask, rng):
+        d = reduced_ds.n_features
+        trace = SearchTrace(final_mask=random_mask(d, mask_rng))
+        for _ in range(int(share * ev.remaining_budget)):
+            mask = random_mask(d, mask_rng)
+            trace.offer(ev.used + 1, ev.evaluate(mask) - penalty, mask)
+        return trace
+    return engine
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(run=runs(), engine=custom_engines())
+def test_a_custom_engine_joins_under_the_running_best_rule(run, engine):
+    ds, params = run["ds"], run["params"]
+    ev = FitnessEvaluator(ds, stratified_kfold(ds, run["folds"], seed=run["seed"]),
+                          budget=run["budget"])
+    trace = sfe_ec_search(ds, ev, engine, params, run["seed"])
+
+    assert trace.fes == list(range(1, ev.used + 1))
+    best = trace.best_fitness
+    assert all(a <= b for a, b in zip(best, best[1:]))
+    assert trace.final_fitness == best[-1]
+    assert np.count_nonzero(trace.final_mask) == trace.n_selected[-1]
+    if trace.handoff_fes is not None:
         assert set(np.flatnonzero(trace.final_mask)) <= set(np.flatnonzero(trace.handoff_mask))
 
 
