@@ -88,8 +88,11 @@ def pso_search(
 
     Positions start Bernoulli(0.5) and velocities uniform in [-1, 1]; when
     ``init`` is given it overwrites particle 0, which seeds the swarm with
-    a known-good mask. Each generation charges pop_size evaluations, so
-    the remaining budget must cover at least the initial wave. Personal
+    a known-good mask. Each generation charges pop_size evaluations, in one
+    `FitnessEvaluator.evaluate_wave` call, so the remaining budget must
+    cover at least the initial wave. In a space small enough for the
+    evaluator's pair tensor, such as the hybrid's reduced one, the wave is
+    scored by one matrix product, with every value still exact. Personal
     bests move only on strict improvement; the global best prefers the
     lowest particle index on ties and steers the velocities. Each
     evaluation is offered to the trace, so its best-fitness series is the
@@ -119,9 +122,10 @@ def pso_search(
     fits = np.empty(n, dtype=np.float64)
 
     def evaluate_wave():
+        start = ev.used
+        fits[:] = ev.evaluate_wave(positions)
         for i in range(n):
-            fits[i] = ev.evaluate(positions[i])
-            trace.offer(ev.used, fits[i], positions[i])
+            trace.offer(start + i + 1, fits[i], positions[i])
 
     evaluate_wave()
 

@@ -69,6 +69,47 @@ The Gram identity cancels badly when the rows sit far from the origin
 relative to their spread (columns offset by 1e7, say): then most rows fall
 back, which is slow but still exact. Outside `_GRAM_MIN` to `_GRAM_MAX`
 features, and at ``knn_k > 1``, the difference blocks are used throughout.
+
+A wave of masks from a pair tensor, certified
+---------------------------------------------
+`FitnessEvaluator.evaluate_wave` scores a swarm's wave of masks together.
+At k=1 its first wave stores each cross-fold pair's squared difference in
+every feature, ``T[p, k] = fl(fl(x_k - y_k)**2)`` for the pair ``p = (x, y)``,
+one fold's block of pairs at a time. A wave of masks M (masks x features,
+0 or 1) is then one product, ``V = M @ T.T``, and each test row's nearest
+neighbour is certified as above. The tensor is built only when it holds
+at most `_TENSOR_ELEMS` values and the space at most `_GRAM_MAX` features,
+and is kept only when every pair's sum over all features is below
+``2**1000``, so no sum below can overflow. That refuses a squared
+difference that overflows, which would also put ``inf * 0 = NaN`` in the
+product. Otherwise the wave is scored by `evaluate`, mask by mask.
+
+The bound. For one pair and a mask of m features, let ``d_k = fl(x_k - y_k)``,
+which the tensor and `_sq_dists` both compute (a difference negates
+exactly), and ``Q = sum d_k**2`` exactly. With ``u`` and ``g`` as above:
+
+- ``E`` sums the m products ``d_k * d_k``, each rounded or fused into an
+  addition: ``|E - Q| <= g(m) Q``.
+- ``V`` multiplies each ``t_k = fl(d_k**2)`` by 1 or 0 exactly, and adding
+  a zero is exact, so each ``t_k`` passes through at most m - 1 rounded
+  additions, fused or not: ``|V - sum t_k| <= g(m - 1) sum t_k``. With
+  ``|t_k - d_k**2| <= u d_k**2``, ``|V - Q| <= g(m) Q``.
+- A product or square that underflows loses up to ``2**-1075``
+  absolutely, and additions lose nothing there. ``E`` and ``V`` hold at
+  most m such roundings each, so
+  ``|V - E| <= b(Q) = 2 g(m) Q + m 2**-1074`` to first order.
+
+The certificate. Let ``low_i = V_a``, the least over test row i's
+training rows, and j an exact nearest neighbour, so ``E_j <= E_a``. Then
+``V_j <= E_j + b(Q_j) <= V_a + b(Q_a) + b(Q_j)``, and ``Q_a`` and ``Q_j``
+both equal ``low_i`` to first order. So ``eps_i = m 2**-52 low_i +
+m 2**-1074`` serves `_certify_nearest` to first order, and the evaluator
+takes ``eps_i = (2m + 8)(2**-52 low_i + 2**-1074)``: the margin covers the
+second-order terms and the rounding of ``eps_i`` and of
+``low_i + 2 eps_i``. The bound scales with the distance itself, not with
+the rows' norms, so rows far from the origin cost nothing here. A row in
+doubt is recomputed by `_sq_dists` over its mask's columns, which gives
+the bits of `evaluate`'s fold blocks up to `_GRAM_MAX` features.
 """
 
 from __future__ import annotations
@@ -92,6 +133,11 @@ _GRAM_MIN = 48
 # numpy's einsum splits a pair's sum at points set by the pair's place in
 # the block, so the fallback's 1 x c blocks could not reproduce the bits.
 _GRAM_MAX = 8192
+
+# Most float64 values in a wave's pair tensor (4 MiB): 341 features at
+# 62 rows in 5 folds, so the hybrid's reduced spaces fit and BPSO's
+# 2000-feature space (24.6 MB) keeps the per-mask path.
+_TENSOR_ELEMS = 512 * 1024
 
 
 class BudgetExhausted(RuntimeError):
@@ -123,21 +169,22 @@ def _gram_dists(Xs: np.ndarray, sq: np.ndarray, lo: int, hi: int, out: np.ndarra
     out += sq[None, hi:]
 
 
-def _certify_nearest(d2, eps, test_X, train_X, train_rows, train_y) -> None:
-    """Make the k=1 vote on Gram distances ``d2`` the one `_sq_dists` gives.
+def _certify_nearest(d2, eps, train_y, exact) -> None:
+    """Make the k=1 vote on approximate distances ``d2`` the one `_sq_dists` gives.
 
-    ``d2[i, j]`` is the distance from ``test_X[i]`` to ``train_X[train_rows[j]]``
-    and ``eps[i]`` bounds its error (module docstring). A row whose candidate
-    nearest neighbours disagree on the label gets their `_sq_dists`
-    distances and +inf elsewhere, in place.
+    ``d2[i, j]`` approximates the distance from test row i to training row
+    j, whose label is ``train_y[j]``, and ``eps[i]`` bounds its error
+    (module docstring). A row whose candidate nearest neighbours disagree
+    on the label gets ``exact(i, c)``, their `_sq_dists` distances, and
+    +inf elsewhere, in place.
     """
-    near = d2 <= (d2.min(axis=1) + 2.0 * eps)[:, None]
-    first = train_y[np.argmin(d2, axis=1)]
+    nearest = np.argmin(d2, axis=1)
+    near = d2 <= (d2[np.arange(len(d2)), nearest] + 2.0 * eps)[:, None]
+    first = train_y[nearest]
     for i in np.flatnonzero((near & (train_y != first[:, None])).any(axis=1)):
         c = np.flatnonzero(near[i])
         d2[i] = np.inf
-        d2[i, c] = _sq_dists(test_X[i : i + 1], train_X[train_rows[c]],
-                             np.empty((1, c.size)))[0]
+        d2[i, c] = exact(i, c)
 
 
 def _vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> np.ndarray:
@@ -229,6 +276,10 @@ class FitnessEvaluator:
         self._order = order
         # Threshold of the `evaluate_at_least` in progress; -inf abandons nothing.
         self._at_least = -math.inf
+        # Value `evaluate_wave` found for the mask being charged; None computes it.
+        self._known = None
+        # The waves' pair tensor: None until the first wave, False if refused.
+        self._tensor = None
 
     @property
     def remaining_budget(self) -> int:
@@ -265,7 +316,101 @@ class FitnessEvaluator:
         if sel.size == 0:
             raise ValueError("mask selects no features")
         self.used += 1
+        if self._known is not None:
+            return self._known
         return self._accuracy(sel)
+
+    def evaluate_wave(self, masks) -> list:
+        """`evaluate` of each row of ``masks``, charged in order; a list of floats.
+
+        Checks every mask and the budget before charging any: a wrong-length
+        or all-zero mask raises ValueError, and more masks than the budget
+        has left raise `BudgetExhausted`. At ``knn_k == 1`` the values come
+        from one product against a pair tensor where it fits (module
+        docstring), bit-identical to `evaluate`'s. Each mask is then charged
+        by calling `evaluate`, which returns the value found, so a subclass
+        that overrides `evaluate` still sees every charged evaluation.
+        """
+        masks = np.asarray(masks)
+        if masks.ndim != 2 or masks.shape[1] != self.dataset.n_features:
+            raise ValueError("mask length does not match the feature count")
+        if not masks.any(axis=1).all():
+            raise ValueError("mask selects no features")
+        if len(masks) > self.remaining_budget:
+            raise BudgetExhausted(
+                f"a wave of {len(masks)} evaluations exceeds the {self.remaining_budget} "
+                f"left of the budget of {self.budget}"
+            )
+        tensor = self._pair_tensor()
+        values = self._wave_values(masks != 0, *tensor) if tensor else [None] * len(masks)
+        try:
+            out = []
+            for mask, value in zip(masks, values):
+                self._known = value
+                out.append(self.evaluate(mask))
+            return out
+        finally:
+            self._known = None
+
+    def _pair_tensor(self):
+        """(T, sorted rows, per-fold pair indices) for `evaluate_wave`, or False.
+
+        Built at the first call, one fold's block of pairs at a time: pair p
+        of ``T`` holds the squared differences of two rows of different
+        folds in every feature, and fold f's test row i reads its distance to
+        training row j from pair ``index_f[i, j]``.
+        """
+        if self._tensor is not None:
+            return self._tensor
+        self._tensor = False
+        X = self.dataset.X
+        n, d = X.shape
+        # pairs of each fold's test rows with the later folds' rows
+        sizes = [(hi - lo) * (n - hi) for lo, hi, *_ in self._fold_rows]
+        if self.knn_k > 1 or d > _GRAM_MAX or sum(sizes) * d > _TENSOR_ELEMS:
+            return False
+        Xo = X.take(self._order, axis=0)
+        T = np.empty((sum(sizes), d))
+        index = np.empty((n, n), dtype=np.intp)
+        p = 0
+        with np.errstate(over="ignore"):  # an overflow refuses the tensor below
+            for (lo, hi, *_), size in zip(self._fold_rows, sizes):
+                block = T[p : p + size].reshape(hi - lo, n - hi, d)
+                np.subtract(Xo[lo:hi, None], Xo[None, hi:], out=block)
+                np.square(block, out=block)
+                index[lo:hi, hi:] = np.arange(p, p + size).reshape(hi - lo, n - hi)
+                index[hi:, lo:hi] = index[lo:hi, hi:].T
+                p += size
+            top = T.sum(axis=1).max()
+        if top < 2.0**1000:  # false for inf
+            self._tensor = (T, Xo, [index[lo:hi].take(cols, axis=1)
+                                    for lo, hi, cols, *_ in self._fold_rows])
+        return self._tensor
+
+    def _wave_values(self, masks, T, Xo, index) -> list:
+        """Exact values of the 0/1 ``masks`` from the pair tensor, fold by fold."""
+        w, n = len(masks), len(Xo)
+        V = masks.astype(np.float64) @ T.T  # (masks, pairs)
+        coef = 2.0 * masks.sum(axis=1) + 8.0
+        missed = np.zeros(w, dtype=np.int64)
+        per_fold = np.empty((w, len(self._fold_rows)))
+        for f, (lo, hi, cols, train_y, test_y) in enumerate(self._fold_rows):
+            size = hi - lo
+            # row r is test row lo + r % size under mask r // size
+            d2 = V.take(index[f], axis=1).reshape(w * size, cols.size)
+            low = d2[np.arange(w * size), np.argmin(d2, axis=1)]  # d2.min(axis=1), faster
+            eps = np.repeat(coef, size) * (2.0**-52 * low + 2.0**-1074)
+
+            def exact(r, c):
+                sel, i = np.flatnonzero(masks[r // size]), lo + r % size
+                return _sq_dists(Xo[i : i + 1, sel], Xo[np.ix_(cols[c], sel)],
+                                 np.empty((1, c.size)))[0]
+
+            _certify_nearest(d2, eps, train_y, exact)
+            hits = np.count_nonzero(_vote(d2, train_y, 1).reshape(w, size) == test_y, axis=1)
+            missed += size - hits
+            per_fold[:, f] = hits / size
+        return [self._score(n, int(missed[j]), per_fold[j]) for j in range(w)]
 
     def evaluate_at_least(self, mask, at_least: float) -> float:
         """`evaluate`, for a caller that needs only values of at least ``at_least``.
@@ -314,7 +459,8 @@ class FitnessEvaluator:
                 _sq_dists(Xs[lo:hi], Xs[hi:], d2[lo:hi, hi:])
             block = d2[lo:hi].take(cols, axis=1)
             if gram:
-                _certify_nearest(block, eps[lo:hi], Xs[lo:hi], Xs, cols, train_y)
+                _certify_nearest(block, eps[lo:hi], train_y, lambda i, c: _sq_dists(
+                    Xs[lo + i : lo + i + 1], Xs[cols[c]], np.empty((1, c.size)))[0])
             pred = _vote(block, train_y, self.knn_k)
             hits = int(np.count_nonzero(pred == test_y))
             missed += test_y.size - hits

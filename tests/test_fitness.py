@@ -350,3 +350,83 @@ def test_at_least_checks_the_mask_like_evaluate():
     with pytest.raises(ValueError, match="no features"):
         ev.evaluate_at_least(np.zeros(4, dtype=int), 50.0)
     assert ev.used == 0 and ev._at_least == -np.inf
+
+
+# ----------------------------------------------------------- evaluate_wave
+
+def random_wave(rng, size, d):
+    masks = rng.integers(0, 2, (size, d)).astype(np.int8)
+    masks[~masks.any(axis=1), 0] = 1
+    return masks
+
+
+class LoggingEvaluator(FitnessEvaluator):
+    """Logs (used, mask, value) for every `evaluate` call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def evaluate(self, mask) -> float:
+        value = super().evaluate(mask)
+        self.log.append((self.used, np.asarray(mask).tobytes(), value))
+        return value
+
+
+def test_a_wave_charges_every_mask_through_evaluate_in_order():
+    ds = blob_dataset(24, 10, seed=2)
+    masks = random_wave(np.random.default_rng(3), 6, ds.n_features)
+    folds = stratified_kfold(ds, 4, seed=1)
+    ev = LoggingEvaluator(ds, folds, budget=16, used=2)
+    assert ev._tensor is None  # built at the first wave, not in the constructor
+    values = ev.evaluate_wave(masks)
+    assert ev._tensor  # the wave took the pair tensor
+    want = [FitnessEvaluator(ds, folds, budget=1).evaluate(m) for m in masks]
+    assert values == want
+    assert ev.log == [(3 + i, m.tobytes(), v) for i, (m, v) in enumerate(zip(masks, want))]
+    assert ev.used == 8 and ev._known is None
+    # any nonzero entry selects its feature, as in `evaluate`
+    assert ev.evaluate_wave(masks * np.random.default_rng(4).integers(1, 9, masks.shape)) == want
+
+
+def test_a_bad_wave_raises_before_charging_anything():
+    ds = blob_dataset(15, 4, seed=1)
+    ev, _ = evaluator(ds, budget=5)
+    ev.used = 2
+    good = np.ones((2, 4), dtype=np.int8)
+    with pytest.raises(ValueError, match="no features"):
+        ev.evaluate_wave(np.vstack([good, np.zeros((1, 4), np.int8)]))
+    with pytest.raises(ValueError, match="length"):
+        ev.evaluate_wave(np.ones((2, 3), dtype=np.int8))
+    with pytest.raises(BudgetExhausted):
+        ev.evaluate_wave(np.ones((4, 4), dtype=np.int8))
+    assert ev.used == 2
+    assert len(ev.evaluate_wave(np.ones((3, 4), dtype=np.int8))) == 3  # exactly what is left
+    assert ev.used == 5
+
+
+@pytest.mark.parametrize("how", ["cap 0", "knn_k 3"])
+def test_a_wave_without_the_tensor_equals_evaluate(monkeypatch, how):
+    ds = blob_dataset(30, 12, seed=4, shift=1.0)
+    masks = random_wave(np.random.default_rng(5), 8, ds.n_features)
+    knn_k = 1
+    if how == "cap 0":
+        monkeypatch.setattr(fitness, "_TENSOR_ELEMS", 0)
+    else:
+        knn_k = 3
+    ev, folds = evaluator(ds, knn_k=knn_k)
+    assert ev.evaluate_wave(masks) == [evaluator(ds, knn_k=knn_k)[0].evaluate(m) for m in masks]
+    assert ev._tensor is False
+
+
+def test_overflowing_squared_differences_refuse_the_tensor():
+    # Columns of size 1e160 square to inf; the product would then read
+    # inf * 0 = NaN even for masks that leave them out.
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(20, 8))
+    X[:, 4:] *= 1e160
+    ds = Dataset(X=X, y=np.arange(20) % 2)
+    masks = np.array([[1, 1, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 1, 0], [1] * 8], np.int8)
+    ev, _ = evaluator(ds)
+    assert ev.evaluate_wave(masks) == [evaluator(ds)[0].evaluate(m) for m in masks]
+    assert ev._tensor is False

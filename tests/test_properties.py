@@ -12,8 +12,9 @@ Custom continuation engines, also ones whose every offer is worse than
 the handoff, are held to the same trace and final-mask invariants.
 Early-abandoned scoring is checked against exact scoring of the same mask,
 and both against a direct per-fold k-NN cross-validation on hand-built
-folds, also for masks wide enough to take the certified Gram distances, on
-data made to tie and to cancel. `load_csv` is checked against a per-cell
+folds, also for masks wide enough to take the certified Gram distances and
+for whole swarm waves scored from the pair tensor, on data made to tie and
+to cancel. `load_csv` is checked against a per-cell
 `float()` reader.
 """
 
@@ -360,6 +361,51 @@ def test_gram_path_matches_the_direct_per_fold_kernel():
     check()
     assert fallbacks["gaussian"] == 0
     assert fallbacks["integers"] and fallbacks["offset 1e4"] and fallbacks["offset 1e7"]
+
+
+@st.composite
+def wave_cases(draw):
+    # a wave of masks from 1 feature to all, 2 to 4 classes, hand-built folds
+    n = draw(st.integers(9, 30))
+    k = draw(st.integers(2, 4))
+    fold = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    fold[draw(st.permutations(range(n)))[:k]] = np.arange(k)  # no empty fold
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    d = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    masks = np.zeros((draw(st.integers(1, 6)), d), np.int8)
+    for mask in masks:
+        mask[rng.permutation(d)[:draw(st.integers(1, d))]] = 1
+    return dict(ds=Dataset(X=KINDS[kind](rng, n, d),
+                           y=rng.integers(0, draw(st.integers(2, 4)), n)),
+                folds=FoldAssignment(fold_of_instance=fold, k=k), masks=masks, kind=kind,
+                fold_mean=draw(st.booleans()))
+
+
+def test_wave_matches_the_direct_per_fold_kernel():
+    fallbacks = dict.fromkeys(KINDS, 0)  # rows whose vote the bound left in doubt
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=wave_cases())
+    def check(case):
+        ds, folds, masks = case["ds"], case["folds"], case["masks"]
+        ev = FitnessEvaluator(ds, folds, budget=len(masks), fold_mean=case["fold_mean"])
+        calls = []
+
+        def counting(A, B, out):
+            calls.append(len(A))
+            return _sq_dists(A, B, out)
+
+        with mock.patch.object(fitness, "_sq_dists", counting):
+            got = ev.evaluate_wave(masks)
+        assert ev._tensor and ev.used == len(masks)
+        assert got == [per_fold_accuracy(ds, folds, m, 1, case["fold_mean"]) for m in masks]
+        assert set(calls) <= {1}  # only the fallback, one test row at a time
+        fallbacks[case["kind"]] += len(calls)
+
+    check()
+    assert fallbacks["gaussian"] == 0
+    assert fallbacks["integers"] and fallbacks["duplicated"]
 
 
 @st.composite
