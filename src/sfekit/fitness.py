@@ -278,6 +278,8 @@ class FitnessEvaluator:
         self._at_least = -math.inf
         # Value `evaluate_wave` found for the mask being charged; None computes it.
         self._known = None
+        # Called as (value, mask) after each charged evaluation; None calls nothing.
+        self._charged = None
         # The waves' pair tensor: None until the first wave, False if refused.
         self._tensor = None
 
@@ -316,9 +318,10 @@ class FitnessEvaluator:
         if sel.size == 0:
             raise ValueError("mask selects no features")
         self.used += 1
-        if self._known is not None:
-            return self._known
-        return self._accuracy(sel)
+        value = self._accuracy(sel) if self._known is None else self._known
+        if self._charged is not None:
+            self._charged(value, mask)
+        return value
 
     def evaluate_wave(self, masks) -> list:
         """`evaluate` of each row of ``masks``, charged in order; a list of floats.

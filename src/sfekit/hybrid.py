@@ -5,13 +5,14 @@ moved for a whole window of evaluations (after a warm-up period), the
 incumbent mask freezes, the dataset is cut down to the incumbent's columns
 and the remaining evaluation budget goes to a continuation engine that
 refines within that subspace. The stock engine is BPSO seeded with the
-full reduced mask; any engine honouring the same contract can be swapped
-in. If the trigger never fires the result is exactly the stage-one run.
+full reduced mask; any engine that spends the evaluator it is handed can
+be swapped in. The hybrid records each evaluation the engine charges, so
+what the engine returns is never read. If the trigger never fires the
+result is exactly the stage-one run.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,17 +94,17 @@ def sfe_ec_search(
     ``engine`` is called as ``engine(reduced_ds, ev, seed_mask, rng)`` with
     a column-reduced dataset, an evaluator continuing the unspent budget, a
     seed mask of all ones in the reduced space and the live random stream.
-    It must return a `SearchTrace` with one entry per evaluation it spent
-    and a final mask in the reduced space. Lowering the evaluator's count
-    or spending past the caller's budget, a trace that skips or invents
-    evaluations, or a malformed mask raises `EngineContractError`; ``ev``
-    counts what the engine spent also when it raises. The handoff is
-    skipped while fewer than ``min_continuation_budget`` evaluations remain.
+    It spends ``ev``; any return value is ignored. The handoff is skipped
+    while fewer than ``min_continuation_budget`` evaluations remain.
 
-    The engine's entries join stage one's trace under the running-best
-    rule of `SearchTrace.offer`. Its final mask, mapped to ``ds``'s index
-    space, is taken only when the joined best beats the handoff fitness;
-    else the frozen mask is copied. ``handoff_fes`` is None if no handoff.
+    The hybrid records each evaluation the engine charges as the next
+    entry of stage one's trace, under the running-best rule of
+    `SearchTrace.offer`; an entry that beats the best maps its mask to
+    ``ds``'s index space as the new final mask, which otherwise stays a
+    copy of the frozen mask. Moving the evaluator's count other than by
+    evaluating, or spending past the caller's budget, raises
+    `EngineContractError`; ``ev`` counts what the engine spent also when
+    it raises. ``handoff_fes`` is None if no handoff.
     """
     rng = np.random.default_rng(seed)
 
@@ -118,39 +119,30 @@ def sfe_ec_search(
     frozen = trace.final_mask
     reduced = subset_columns(ds, frozen)
     start = ev.used
+    trace.handoff_fes = start
+    trace.handoff_mask = frozen
+    trace.final_mask = frozen.copy()
+
+    def charged(value, mask):
+        fes = trace.fes[-1] + 1
+        if not trace._repeats_best(fes, value):
+            trace.record(fes, value, np.count_nonzero(mask))
+            trace.final_mask = frozen.copy()
+            trace.final_mask[frozen != 0] = mask != 0
+
     ev2 = ev.spawn(reduced)
+    ev2._charged = charged
     try:
-        stage2 = engine(reduced, ev2, np.ones(reduced.n_features, dtype=np.int8), rng)
+        engine(reduced, ev2, np.ones(reduced.n_features, dtype=np.int8), rng)
     finally:  # keep the caller's budget view exact across the handoff
         ev.used = min(max(ev2.used, start), ev.budget)
 
-    if not isinstance(stage2, SearchTrace):
-        raise EngineContractError("engine must return a SearchTrace")
-    if not start <= ev2.used <= ev.budget:
+    if not ev2.used == trace.fes[-1] <= ev.budget:
         raise EngineContractError(
-            f"engine left {ev2.used} evaluations used; it must keep the {start} "
-            f"used at the handoff and stay within the caller's budget of {ev.budget}"
+            f"engine left {ev2.used} evaluations used after {trace.fes[-1] - start} "
+            f"charged; it must count from the {start} used at the handoff and stay "
+            f"within the caller's budget of {ev.budget}"
         )
-    if list(stage2.fes) != list(range(start + 1, ev2.used + 1)):
-        raise EngineContractError(
-            f"engine spent {ev2.used - start} evaluations from FE {start + 1} on; "
-            "its trace must hold one entry for each, in order"
-        )
-    final_reduced = np.asarray(stage2.final_mask)
-    if final_reduced.shape != (reduced.n_features,):
-        raise EngineContractError("engine's final mask is not in the reduced space")
-    if not final_reduced.any():
-        raise EngineContractError("engine's final mask selects no features")
-
-    trace.handoff_fes = start
-    trace.handoff_mask = frozen
-    handoff_fitness = trace.final_fitness
-    for fes, best, n in zip(stage2.fes, stage2.best_fitness, stage2.n_selected):
-        if not trace._repeats_best(fes, best):
-            trace.record(fes, best, n)
-    trace.final_mask = frozen.copy()
-    if trace.final_fitness > handoff_fitness:
-        trace.final_mask[frozen != 0] = final_reduced != 0
     return trace
 
 
@@ -171,13 +163,13 @@ def sfe_pso_search(
     return resolve_algorithm("sfe_pso", params)(ds, ev, seed)
 
 
-def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
-    """Single-bit-flip hill climber with random restarts.
+def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> None:
+    """Single-bit-flip hill climber with random restarts; spends ``ev``.
 
     Accepts moves that do not lose fitness; after `_RESTART_AFTER`
-    consecutive rejections it restarts from a random mask. Every
-    evaluation is offered to the trace, so the returned mask is the best
-    one seen anywhere and the final fitness never falls below the seed's.
+    consecutive rejections it restarts from a random mask. The hybrid
+    records every evaluation under the running-best rule, so its final
+    mask is the best one seen anywhere and never falls below the seed's.
 
     A move is scored by `FitnessEvaluator.evaluate_at_least` against the
     current mask's fitness and may be abandoned early: it then reads as
@@ -186,17 +178,10 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
     """
     rng = np.random.default_rng(rng)
     d = reduced_ds.n_features
-    trace = SearchTrace()
-
-    def measure(mask, at_least=-math.inf):
-        value = ev.evaluate_at_least(mask, at_least)
-        trace.offer(ev.used, value, mask)
-        return value
-
     current = np.asarray(seed_mask, dtype=np.int8).copy()
     if ev.remaining_budget <= 0:
         raise ValueError("hill climber needs at least one evaluation of budget")
-    fit_cur = measure(current)
+    fit_cur = ev.evaluate(current)
     rejected = 0
     while ev.remaining_budget > 0:
         cand = current.copy()
@@ -204,7 +189,7 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
         cand[j] = 1 - cand[j]
         if not cand.any():
             cand[int(rng.integers(0, d))] = 1
-        fit_cand = measure(cand, fit_cur)
+        fit_cand = ev.evaluate_at_least(cand, fit_cur)
         if fit_cand >= fit_cur:
             current, fit_cur = cand, fit_cand
             rejected = 0
@@ -212,9 +197,8 @@ def hillclimb_engine(reduced_ds, ev, seed_mask, rng) -> SearchTrace:
             rejected += 1
         if rejected >= _RESTART_AFTER and ev.remaining_budget > 0:
             current = random_mask(d, rng)
-            fit_cur = measure(current)
+            fit_cur = ev.evaluate(current)
             rejected = 0
-    return trace
 
 
 def resolve_engine(name: str, params: HybridParams):
@@ -225,7 +209,7 @@ def resolve_engine(name: str, params: HybridParams):
     """
     if name == "pso":
         def pso_engine(reduced_ds, ev, seed_mask, rng):
-            return pso_search(reduced_ds, ev, params.pso, init=seed_mask, seed=rng)
+            pso_search(reduced_ds, ev, params.pso, init=seed_mask, seed=rng)
         return pso_engine, params.pso.pop_size
     if name == "hillclimb":
         return hillclimb_engine, 1

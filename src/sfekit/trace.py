@@ -6,8 +6,9 @@ count of the current best mask. Convergence curves and stagnation checks
 are both defined over this series.
 
 Two rules fill it. The single-agent search `record`s its incumbent, which
-moves on ties. Every other search `offer`s each evaluation, and the hybrid
-joins its engine's entries, under the running best: ties keep the earlier.
+moves on ties. Every other search `offer`s each evaluation under the
+running best, where ties keep the earlier; the hybrid records each
+evaluation its continuation engine charges under the same rule.
 """
 
 from __future__ import annotations

@@ -225,43 +225,94 @@ def test_an_evaluate_override_sees_every_charged_evaluation(name):
 
 # ----------------------------------------------------------- engine checks
 
-def engine_returning(result):
+def spending_then_returning(result):
+    """An engine that scores its seed and each one-column mask in turn,
+    then returns ``result``."""
     def engine(reduced_ds, ev, seed_mask, rng):
+        ev.evaluate(seed_mask)
+        for j in range(min(reduced_ds.n_features, ev.remaining_budget)):
+            mask = np.zeros_like(seed_mask)
+            mask[j] = 1
+            ev.evaluate(mask)
         return result
     return engine
 
 
-def test_engine_must_return_a_trace():
-    ds = constant_dataset(n=20, d=10)
+def test_what_an_engine_returns_is_ignored():
+    ds = blob_dataset(25, 10, seed=1, shift=1.0)
     ev = make_ev(ds, budget=60)
-    with pytest.raises(EngineContractError, match="SearchTrace"):
-        sfe_ec_search(ds, ev, engine_returning({"final_mask": None}), SMALL, seed=1)
+    expected = sfe_ec_search(ds, ev, spending_then_returning(None), SMALL, seed=2)
+    assert expected.handoff_fes == 31 and len(expected) == ev.used > 31
+    # a one-column mask beat the handoff, so the engine's mask was taken
+    assert np.count_nonzero(expected.final_mask) == expected.n_selected[-1] == 1
+    assert expected.final_fitness > expected.best_fitness[30]
+    # a dict; a trace that skips and invents entries, with lists of unequal
+    # length and a mask of the wrong length; an empty mask; a bare array
+    junk = ({"final_mask": None},
+            SearchTrace(fes=[1, 5, 99], best_fitness=[101.0], n_selected=[],
+                        final_mask=np.ones(11, dtype=np.int8)),
+            SearchTrace(final_mask=np.zeros(10, dtype=np.int8)),
+            np.ones(1, dtype=np.int8))
+    for result in junk:
+        ev = make_ev(ds, budget=60)
+        trace = sfe_ec_search(ds, ev, spending_then_returning(result), SMALL, seed=2)
+        assert ev.used == len(trace)
+        for name in ("fes", "best_fitness", "n_selected", "handoff_fes"):
+            assert getattr(trace, name) == getattr(expected, name)
+        assert np.array_equal(trace.final_mask, expected.final_mask)
+        assert np.array_equal(trace.handoff_mask, expected.handoff_mask)
 
 
-def test_engine_mask_must_live_in_reduced_space():
+def test_an_engine_may_not_move_the_count_without_evaluating():
     ds = constant_dataset(n=20, d=10)
 
-    def engine(reduced_ds, ev, seed_mask, rng):
+    def skipping_ahead(reduced_ds, ev, seed_mask, rng):
+        ev.evaluate(seed_mask)
+        ev.used += 3  # charged nothing
+        ev.evaluate(seed_mask)
+
+    ev = make_ev(ds, budget=60)
+    with pytest.raises(EngineContractError,
+                       match="^engine left 36 evaluations used after 2 charged; it must "
+                             "count from the 31 used at the handoff"):
+        sfe_ec_search(ds, ev, skipping_ahead, SMALL, seed=1)
+    assert ev.used == 36
+
+
+def test_an_engine_trace_with_short_lists_loses_no_entry():
+    ds = blob_dataset(25, 10, seed=2)
+
+    def dropping_its_last_entry(reduced_ds, ev, seed_mask, rng):
         t = SearchTrace()
-        t.final_mask = np.ones(reduced_ds.n_features + 1, dtype=np.int8)
+        for _ in range(5):
+            t.offer(ev.used + 1, ev.evaluate(seed_mask), seed_mask)
+        del t.best_fitness[-1], t.n_selected[-1]
         return t
 
     ev = make_ev(ds, budget=60)
-    with pytest.raises(EngineContractError, match="reduced space"):
-        sfe_ec_search(ds, ev, engine, SMALL, seed=1)
+    trace = sfe_ec_search(ds, ev, dropping_its_last_entry, SMALL, seed=1)
+    assert ev.used == 36
+    assert trace.fes == list(range(1, ev.used + 1))
+    assert np.count_nonzero(trace.final_mask) == trace.n_selected[-1]
 
 
-def test_engine_mask_must_select_something():
-    ds = constant_dataset(n=20, d=10)
+def test_an_engine_mask_that_its_trace_never_scored_is_not_taken():
+    ds = blob_dataset(25, 10, seed=2)
 
-    def engine(reduced_ds, ev, seed_mask, rng):
+    def claiming_a_better_seed(reduced_ds, ev, seed_mask, rng):
+        ev.evaluate(seed_mask)
         t = SearchTrace()
-        t.final_mask = np.zeros(reduced_ds.n_features, dtype=np.int8)
+        t.offer(ev.used, 101.0, seed_mask)  # above any accuracy
+        t.final_mask = one_column(reduced_ds)
         return t
 
     ev = make_ev(ds, budget=60)
-    with pytest.raises(EngineContractError, match="no features"):
-        sfe_ec_search(ds, ev, engine, SMALL, seed=1)
+    trace = sfe_ec_search(ds, ev, claiming_a_better_seed, SMALL, seed=1)
+    assert trace.n_selected[-1] > 1  # so a one-column final mask could not match it
+    assert trace.fes == list(range(1, ev.used + 1))
+    assert np.count_nonzero(trace.final_mask) == trace.n_selected[-1]
+    assert np.array_equal(trace.final_mask, trace.handoff_mask)
+    assert trace.final_fitness == trace.best_fitness[trace.handoff_fes - 1]
 
 
 def test_engine_may_not_overspend():
@@ -285,29 +336,6 @@ def test_engine_may_not_overspend():
         ev = make_ev(ds, budget=60)
         with pytest.raises(EngineContractError, match="caller's budget of 60"):
             sfe_ec_search(ds, ev, overspending, SMALL, seed=1)
-
-
-def test_engine_trace_must_hold_one_entry_per_evaluation():
-    ds = constant_dataset(n=20, d=10)
-
-    def skipping(reduced_ds, ev, seed_mask, rng):
-        t = SearchTrace()
-        for _ in range(ev.remaining_budget):
-            value = ev.evaluate(seed_mask)
-        t.offer(ev.used, value, seed_mask)  # the last evaluation only
-        return t
-
-    def inventing(reduced_ds, ev, seed_mask, rng):
-        t = SearchTrace()
-        t.offer(ev.used + 1, 50.0, seed_mask)  # an evaluation never charged
-        return t
-
-    for engine, spent in ((skipping, 29), (inventing, 0)):
-        ev = make_ev(ds, budget=60)
-        with pytest.raises(EngineContractError,
-                           match=f"^engine spent {spent} evaluations from FE 32 on; its "
-                                 "trace must hold one entry for each, in order$"):
-            sfe_ec_search(ds, ev, engine, SMALL, seed=1)
 
 
 def test_engine_may_not_lower_the_evaluators_count():

@@ -112,30 +112,37 @@ def test_budget_trace_and_handoff_invariants(name, run):
 
 @st.composite
 def custom_engines(draw):
-    """An engine that offers a drawn share of the remaining budget in random
-    reduced-space masks. With a penalty every offer reads below any
-    fitness, so all of them are worse than the handoff; an idle engine
-    returns a random mask it never scored."""
+    """An engine that spends a drawn share of the remaining budget on random
+    reduced-space masks and returns junk: None, a random trace or a random
+    mask it never scored."""
     share = draw(st.floats(0.0, 1.0))
-    penalty = draw(st.sampled_from([0.0, 101.0]))
+    returns = draw(st.sampled_from(["none", "trace", "mask"]))
     mask_rng = np.random.default_rng(draw(st.integers(0, 2**32)))
 
     def engine(reduced_ds, ev, seed_mask, rng):
         d = reduced_ds.n_features
-        trace = SearchTrace(final_mask=random_mask(d, mask_rng))
         for _ in range(int(share * ev.remaining_budget)):
-            mask = random_mask(d, mask_rng)
-            trace.offer(ev.used + 1, ev.evaluate(mask) - penalty, mask)
-        return trace
+            ev.evaluate(random_mask(d, mask_rng))
+        if returns == "trace":
+            n = int(mask_rng.integers(0, 5))
+            return SearchTrace(fes=sorted(mask_rng.integers(0, 10**4, n).tolist()),
+                               best_fitness=mask_rng.uniform(0, 101, n).tolist(),
+                               n_selected=mask_rng.integers(0, d + 2, n).tolist(),
+                               final_mask=random_mask(d, mask_rng))
+        if returns == "mask":
+            return random_mask(d, mask_rng)
     return engine
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(run=runs(), engine=custom_engines())
 def test_a_custom_engine_joins_under_the_running_best_rule(run, engine):
+    """Whatever the engine returns, the hybrid records one entry per charged
+    evaluation under the running best, and its final mask is the one the
+    last entry counts and scores, inside the frozen mask."""
     ds, params = run["ds"], run["params"]
-    ev = FitnessEvaluator(ds, stratified_kfold(ds, run["folds"], seed=run["seed"]),
-                          budget=run["budget"])
+    folds = stratified_kfold(ds, run["folds"], seed=run["seed"])
+    ev = FitnessEvaluator(ds, folds, budget=run["budget"])
     trace = sfe_ec_search(ds, ev, engine, params, run["seed"])
 
     assert trace.fes == list(range(1, ev.used + 1))
@@ -143,6 +150,7 @@ def test_a_custom_engine_joins_under_the_running_best_rule(run, engine):
     assert all(a <= b for a, b in zip(best, best[1:]))
     assert trace.final_fitness == best[-1]
     assert np.count_nonzero(trace.final_mask) == trace.n_selected[-1]
+    assert FitnessEvaluator(ds, folds, budget=1).evaluate(trace.final_mask) == best[-1]
     if trace.handoff_fes is not None:
         assert set(np.flatnonzero(trace.final_mask)) <= set(np.flatnonzero(trace.handoff_mask))
 
