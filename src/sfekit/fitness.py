@@ -16,22 +16,37 @@ expression scores the evaluation with every remaining test row right, and
 it returns -inf once that exact bound falls below the threshold, so later
 folds' distances are never computed. It is still charged one evaluation.
 
-Distances by the Gram identity, certified
------------------------------------------
-At k=1, a mask of `_GRAM_MIN` to `_GRAM_MAX` features takes its cross-fold
+Certified k=1 votes
+-------------------
+At k=1 two paths below take distances ``d~`` that may differ from the
+`_sq_dists` value ``E`` in the last bits, and `_certified_vote` still
+returns the vote ``E`` gives, bit for bit. For test row i, let ``a`` be
+the training row of least ``d~``, ``low_i = d~_a``, and ``j`` any row of
+least ``E``; each path bounds ``|d~ - E|`` at ``a`` and at every such
+``j`` by an ``eps_i``. Then
+``d~_j <= E_j + eps_i <= E_a + eps_i <= low_i + 2 eps_i``, so
+``C_i = {j : d~_j <= low_i + 2 eps_i}`` holds every exact nearest
+neighbour. If all of ``C_i`` share one label, it is ``a``'s and the vote.
+Otherwise the least of the row's `_sq_dists` distances to ``C_i``
+decides, the lowest index on a tie. That needs `_sq_dists` to give a
+pair the same bits in a 1 x c block as in a fold's block and in its
+transpose: a difference negates exactly, and up to `_GRAM_MAX` features
+numpy's einsum sums a pair's products in an order set by m alone (the
+property tests check this). The bounds use ``u = 2**-53`` and
+``g(k) = k u / (1 - k u)``; those on sums of m terms hold in any
+summation order, with or without fused multiply-adds, so they cover
+BLAS's blocking (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., Lemma 3.1 and section 3.1).
+
+Distances by the Gram identity
+------------------------------
+A mask of `_GRAM_MIN` to `_GRAM_MAX` features takes its cross-fold
 distances from one matrix product per fold,
 ``d~ = s_i + s_j - 2 x_i . x_j`` with the squared row norms
 ``s = einsum("ij,ij->i")`` computed once per evaluation, instead of from
-`_sq_dists`'s difference blocks. The vote must still be the one the
-`_sq_dists` value ``E`` gives, bit for bit, so each test row's nearest
-neighbour is certified.
-
-The bound. Let ``u = 2**-53``, ``g(k) = k u / (1 - k u)``, ``D`` the exact
-squared distance of rows ``x`` and ``y`` over the m features, and
-``S = |x|^2 + |y|^2`` exactly, so ``D <= 2 S``. The bounds on sums of m
-terms below hold in any summation order, with or without fused
-multiply-adds, so they cover BLAS's blocking (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1 and section 3.1):
+`_sq_dists`'s difference blocks. Let ``D`` be the exact squared distance
+of rows ``x`` and ``y`` over the m features, and ``S = |x|^2 + |y|^2``
+exactly, so ``D <= 2 S``.
 
 - ``E`` rounds each difference and each square once, then sums the m
   squares: ``|E - D| <= g(m + 2) D <= 2 g(m + 2) S``.
@@ -42,51 +57,40 @@ Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1 and section 3.1):
   ``3 S`` (to first order), adding ``5 u S``.
 - Together ``|d~ - E| <= (4m + 9) u S`` to first order.
 
-The evaluator takes ``eps_i = (4m + 16) 2**-52 (s_i + max s)``. ``max s``
-bounds every training row's ``s_j``, and ``(4m + 16) 2**-52`` is about
-twice ``(4m + 9) u``: the margin covers the second-order terms,
-``S <= (s_i + s_j) / (1 - g(m))`` and the rounding of ``eps_i`` and of
-``low_i + 2 eps_i`` below. A product that underflows loses up to
-``2**-1075`` absolutely, and at most 5m of them reach one ``d~ - E``, so
-``eps_i`` also adds ``(4m + 16) 2**-1074``. When a squared norm reaches
-``2**1000``, or is not finite, the distances could overflow, and the
-evaluation keeps the difference blocks.
-
-The certificate. With ``low_i`` the least ``d~`` of test row i over its
-training rows, a row j that ties for the least ``E`` has
-``d~_j <= E_j + eps_i <= E_(argmin d~) + eps_i <= low_i + 2 eps_i``, so
-``C_i = {j : d~_j <= low_i + 2 eps_i}`` holds every exact nearest
-neighbour. If all of ``C_i`` share one label, the vote on ``d~`` already
-returns it. Otherwise the row's distances to ``C_i`` are recomputed by
-`_sq_dists` and the rest set to +inf, so the vote's lowest-index rule sees
-the ``E`` values it would have seen. That needs `_sq_dists` to give a pair
-the same bits in a 1 x c block as in a fold's block and in its transpose:
-a difference negates exactly, and up to `_GRAM_MAX` features numpy's
-einsum sums a pair's products in an order set by m alone (the property
-tests check this). Each voted fold still calls `_vote` once.
+The evaluator takes ``eps_i = (4m + 16) 2**-52 (s_i + max s)``, which
+holds at every training row. ``max s`` bounds every training row's
+``s_j``, and ``(4m + 16) 2**-52`` is about twice ``(4m + 9) u``: the
+margin covers the second-order terms, ``S <= (s_i + s_j) / (1 - g(m))``
+and the rounding of ``eps_i`` and of ``low_i + 2 eps_i``. A product that
+underflows loses up to ``2**-1075`` absolutely, and at most 5m of them
+reach one ``d~ - E``, so ``eps_i`` also adds ``(4m + 16) 2**-1074``. When
+a squared norm reaches ``2**1000``, or is not finite, the distances could
+overflow, and the evaluation keeps the difference blocks.
 
 The Gram identity cancels badly when the rows sit far from the origin
 relative to their spread (columns offset by 1e7, say): then most rows fall
 back, which is slow but still exact. Outside `_GRAM_MIN` to `_GRAM_MAX`
-features, and at ``knn_k > 1``, the difference blocks are used throughout.
+features, and at ``knn_k > 1``, the difference blocks are used throughout
+and `_vote` decides.
 
-A wave of masks from a pair tensor, certified
----------------------------------------------
+A wave of masks from a pair tensor
+----------------------------------
 `FitnessEvaluator.evaluate_wave` scores a swarm's wave of masks together.
 At k=1 its first wave stores each cross-fold pair's squared difference in
 every feature, ``T[p, k] = fl(fl(x_k - y_k)**2)`` for the pair ``p = (x, y)``,
 one fold's block of pairs at a time. A wave of masks M (masks x features,
 0 or 1) is then one product, ``V = M @ T.T``, and each test row's nearest
-neighbour is certified as above. The tensor is built only when it holds
-at most `_TENSOR_ELEMS` values and the space at most `_GRAM_MAX` features,
-and is kept only when every pair's sum over all features is below
-``2**1000``, so no sum below can overflow. That refuses a squared
-difference that overflows, which would also put ``inf * 0 = NaN`` in the
-product. Otherwise the wave is scored by `evaluate`, mask by mask.
+neighbour is certified as above, whatever the mask's size. The tensor is
+built only when it holds at most `_TENSOR_ELEMS` values and the space at
+most `_GRAM_MAX` features, and is kept only when every pair's sum over
+all features is below ``2**1000``, so no sum below can overflow. That
+refuses a squared difference that overflows, which would also put
+``inf * 0 = NaN`` in the product. Otherwise the wave is scored by
+`evaluate`, mask by mask.
 
-The bound. For one pair and a mask of m features, let ``d_k = fl(x_k - y_k)``,
+For one pair and a mask of m features, let ``d_k = fl(x_k - y_k)``,
 which the tensor and `_sq_dists` both compute (a difference negates
-exactly), and ``Q = sum d_k**2`` exactly. With ``u`` and ``g`` as above:
+exactly), and ``Q = sum d_k**2`` exactly.
 
 - ``E`` sums the m products ``d_k * d_k``, each rounded or fused into an
   addition: ``|E - Q| <= g(m) Q``.
@@ -99,17 +103,14 @@ exactly), and ``Q = sum d_k**2`` exactly. With ``u`` and ``g`` as above:
   most m such roundings each, so
   ``|V - E| <= b(Q) = 2 g(m) Q + m 2**-1074`` to first order.
 
-The certificate. Let ``low_i = V_a``, the least over test row i's
-training rows, and j an exact nearest neighbour, so ``E_j <= E_a``. Then
-``V_j <= E_j + b(Q_j) <= V_a + b(Q_a) + b(Q_j)``, and ``Q_a`` and ``Q_j``
-both equal ``low_i`` to first order. So ``eps_i = m 2**-52 low_i +
-m 2**-1074`` serves `_certify_nearest` to first order, and the evaluator
-takes ``eps_i = (2m + 8)(2**-52 low_i + 2**-1074)``: the margin covers the
+At the certificate's rows ``a`` and ``j``, ``Q`` equals ``low_i`` to
+first order, so ``eps_i = b(low_i) = m 2**-52 low_i + m 2**-1074`` serves
+to first order. The evaluator takes
+``eps_i = (2m + 8)(2**-52 low_i + 2**-1074)``: the margin covers the
 second-order terms and the rounding of ``eps_i`` and of
 ``low_i + 2 eps_i``. The bound scales with the distance itself, not with
 the rows' norms, so rows far from the origin cost nothing here. A row in
-doubt is recomputed by `_sq_dists` over its mask's columns, which gives
-the bits of `evaluate`'s fold blocks up to `_GRAM_MAX` features.
+doubt is recomputed by `_sq_dists` over its mask's columns.
 """
 
 from __future__ import annotations
@@ -169,22 +170,24 @@ def _gram_dists(Xs: np.ndarray, sq: np.ndarray, lo: int, hi: int, out: np.ndarra
     out += sq[None, hi:]
 
 
-def _certify_nearest(d2, eps, train_y, exact) -> None:
-    """Make the k=1 vote on approximate distances ``d2`` the one `_sq_dists` gives.
+def _certified_vote(d2, train_y, bound, exact) -> np.ndarray:
+    """Class of each test row by the k=1 vote that `_sq_dists` distances give.
 
     ``d2[i, j]`` approximates the distance from test row i to training row
-    j, whose label is ``train_y[j]``, and ``eps[i]`` bounds its error
-    (module docstring). A row whose candidate nearest neighbours disagree
-    on the label gets ``exact(i, c)``, their `_sq_dists` distances, and
-    +inf elsewhere, in place.
+    j, whose label is ``train_y[j]``. ``bound(low)`` gives each row's
+    ``eps`` from its least value ``low`` (module docstring). A row whose
+    candidate nearest neighbours disagree on the label is decided by
+    ``exact(i, c)``, their `_sq_dists` distances, the lowest index winning
+    a tie.
     """
     nearest = np.argmin(d2, axis=1)
-    near = d2 <= (d2[np.arange(len(d2)), nearest] + 2.0 * eps)[:, None]
-    first = train_y[nearest]
-    for i in np.flatnonzero((near & (train_y != first[:, None])).any(axis=1)):
+    low = d2[np.arange(len(d2)), nearest]
+    near = d2 <= (low + 2.0 * bound(low))[:, None]
+    labels = train_y[nearest]
+    for i in np.flatnonzero((near & (train_y != labels[:, None])).any(axis=1)):
         c = np.flatnonzero(near[i])
-        d2[i] = np.inf
-        d2[i, c] = exact(i, c)
+        labels[i] = train_y[c[np.argmin(exact(i, c))]]
+    return labels
 
 
 def _vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> np.ndarray:
@@ -194,6 +197,7 @@ def _vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> np.ndarray:
     with the training rows in ascending index. Ties are deterministic: among
     equidistant rows the lower training index ranks first, and a split vote
     goes to the class of the nearest (then lowest-index) tied neighbour.
+    Folds voted on certified distances go through `_certified_vote` instead.
     """
     if k == 1:
         # argmin takes the first minimum, i.e. the lowest training index.
@@ -401,16 +405,17 @@ class FitnessEvaluator:
             size = hi - lo
             # row r is test row lo + r % size under mask r // size
             d2 = V.take(index[f], axis=1).reshape(w * size, cols.size)
-            low = d2[np.arange(w * size), np.argmin(d2, axis=1)]  # d2.min(axis=1), faster
-            eps = np.repeat(coef, size) * (2.0**-52 * low + 2.0**-1074)
+
+            def bound(low):
+                return np.repeat(coef, size) * (2.0**-52 * low + 2.0**-1074)
 
             def exact(r, c):
                 sel, i = np.flatnonzero(masks[r // size]), lo + r % size
                 return _sq_dists(Xo[i : i + 1, sel], Xo[np.ix_(cols[c], sel)],
                                  np.empty((1, c.size)))[0]
 
-            _certify_nearest(d2, eps, train_y, exact)
-            hits = np.count_nonzero(_vote(d2, train_y, 1).reshape(w, size) == test_y, axis=1)
+            pred = _certified_vote(d2, train_y, bound, exact).reshape(w, size)
+            hits = np.count_nonzero(pred == test_y, axis=1)
             missed += size - hits
             per_fold[:, f] = hits / size
         return [self._score(n, int(missed[j]), per_fold[j]) for j in range(w)]
@@ -462,9 +467,10 @@ class FitnessEvaluator:
                 _sq_dists(Xs[lo:hi], Xs[hi:], d2[lo:hi, hi:])
             block = d2[lo:hi].take(cols, axis=1)
             if gram:
-                _certify_nearest(block, eps[lo:hi], train_y, lambda i, c: _sq_dists(
-                    Xs[lo + i : lo + i + 1], Xs[cols[c]], np.empty((1, c.size)))[0])
-            pred = _vote(block, train_y, self.knn_k)
+                pred = _certified_vote(block, train_y, lambda low: eps[lo:hi], lambda i, c: (
+                    _sq_dists(Xs[lo + i : lo + i + 1], Xs[cols[c]], np.empty((1, c.size)))[0]))
+            else:
+                pred = _vote(block, train_y, self.knn_k)
             hits = int(np.count_nonzero(pred == test_y))
             missed += test_y.size - hits
             per_fold[f] = hits / test_y.size

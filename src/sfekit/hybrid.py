@@ -97,14 +97,13 @@ def sfe_ec_search(
     It spends ``ev``; any return value is ignored. The handoff is skipped
     while fewer than ``min_continuation_budget`` evaluations remain.
 
-    The hybrid records each evaluation the engine charges as the next
-    entry of stage one's trace, under the running-best rule of
-    `SearchTrace.offer`; an entry that beats the best maps its mask to
-    ``ds``'s index space as the new final mask, which otherwise stays a
-    copy of the frozen mask. Moving the evaluator's count other than by
-    evaluating, or spending past the caller's budget, raises
-    `EngineContractError`; ``ev`` counts what the engine spent also when
-    it raises. ``handoff_fes`` is None if no handoff.
+    The hybrid `SearchTrace.offer`s each evaluation the engine charges as
+    the next entry of stage one's trace. When the engine returns, the
+    running best's mask, the frozen one until an entry beats it, is mapped
+    to ``ds``'s index space as the final mask. Moving the evaluator's
+    count other than by evaluating, or spending past the caller's budget,
+    raises `EngineContractError`; ``ev`` counts what the engine spent also
+    when it raises. ``handoff_fes`` is None if no handoff.
     """
     rng = np.random.default_rng(seed)
 
@@ -121,21 +120,17 @@ def sfe_ec_search(
     start = ev.used
     trace.handoff_fes = start
     trace.handoff_mask = frozen
-    trace.final_mask = frozen.copy()
-
-    def charged(value, mask):
-        fes = trace.fes[-1] + 1
-        if not trace._repeats_best(fes, value):
-            trace.record(fes, value, np.count_nonzero(mask))
-            trace.final_mask = frozen.copy()
-            trace.final_mask[frozen != 0] = mask != 0
+    seed_mask = np.ones(reduced.n_features, dtype=np.int8)  # the frozen mask, reduced
+    trace.final_mask = seed_mask
 
     ev2 = ev.spawn(reduced)
-    ev2._charged = charged
+    ev2._charged = lambda value, mask: trace.offer(trace.fes[-1] + 1, value, mask)
     try:
-        engine(reduced, ev2, np.ones(reduced.n_features, dtype=np.int8), rng)
+        engine(reduced, ev2, seed_mask.copy(), rng)
     finally:  # keep the caller's budget view exact across the handoff
         ev.used = min(max(ev2.used, start), ev.budget)
+        best, trace.final_mask = trace.final_mask, frozen.copy()
+        trace.final_mask[frozen != 0] = best != 0
 
     if not ev2.used == trace.fes[-1] <= ev.budget:
         raise EngineContractError(

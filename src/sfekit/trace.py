@@ -7,8 +7,8 @@ are both defined over this series.
 
 Two rules fill it. The single-agent search `record`s its incumbent, which
 moves on ties. Every other search `offer`s each evaluation under the
-running best, where ties keep the earlier; the hybrid records each
-evaluation its continuation engine charges under the same rule.
+running best, where ties keep the earlier; the hybrid offers each
+evaluation its continuation engine charges.
 """
 
 from __future__ import annotations
@@ -57,18 +57,11 @@ class SearchTrace:
         beats the best so far strictly; otherwise the entry repeats the
         previous one.
         """
-        if not self._repeats_best(fes, value):
+        if self.fes and not value > self.best_fitness[-1]:
+            self.record(fes, self.best_fitness[-1], self.n_selected[-1])
+        else:
             self.record(fes, value, np.count_nonzero(mask))
             self.final_mask = np.array(mask, dtype=np.int8)
 
     def __len__(self) -> int:
         return len(self.fes)
-
-    def _repeats_best(self, fes: int, value: float) -> bool:
-        """Running-best rule of `offer` and the hybrid's handoff: unless
-        ``value`` beats the best strictly, repeat the last entry at ``fes``
-        and return True."""
-        if self.fes and not value > self.best_fitness[-1]:
-            self.record(fes, self.best_fitness[-1], self.n_selected[-1])
-            return True
-        return False

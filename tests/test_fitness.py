@@ -13,7 +13,7 @@ from sfekit import (
     subset_columns,
 )
 from sfekit import fitness
-from sfekit.fitness import _sq_dists, _vote
+from sfekit.fitness import _certified_vote, _sq_dists, _vote
 
 from util import blob_dataset, constant_dataset, keyed_dataset
 
@@ -90,6 +90,31 @@ def test_knn_equidistant_tie_prefers_lower_index():
     assert knn_predict(train, labels, np.array([1.0]), k=1) == 1
     # swap rows: the other class now sits at the lower index
     assert knn_predict(train[::-1].copy(), labels[::-1].copy(), np.array([1.0]), k=1) == 0
+
+
+def test_certified_vote_decides_doubtful_rows_on_exact_distances():
+    train_y = np.array([0, 1, 1, 0])
+    d2 = np.array([
+        [1.0, 1.1, 9.0, 9.0],  # labels 0 and 1 within the bound; exact reverses them
+        [9.0, 1.1, 9.0, 1.0],  # exact tie of training rows 1 and 3: row 1's label
+        [1.0, 9.0, 9.0, 1.1],  # both candidates labelled 0: exact is never asked
+    ])
+    exact_dists = {0: [2.0, 1.5], 1: [3.0, 3.0]}
+    lows, calls = [], []
+
+    def bound(low):
+        lows.append(low.tolist())
+        return 0.1 * low
+
+    def exact(i, c):
+        calls.append((i, c.tolist()))
+        return np.array(exact_dists[i])
+
+    block = d2.copy()
+    assert _certified_vote(block, train_y, bound, exact).tolist() == [1, 1, 0]
+    assert lows == [[1.0, 1.0, 1.0]]
+    assert calls == [(0, [0, 1]), (1, [1, 3])]
+    np.testing.assert_array_equal(block, d2)  # the distances are left as they were
 
 
 def test_knn_majority_vote_k3():
@@ -289,7 +314,9 @@ def test_chunked_distances_are_exact_and_hold_one_block(monkeypatch):
 # ------------------------------------------------------- evaluate_at_least
 
 def count_fold_votes(monkeypatch):
-    """Record the number of test rows of every fold the evaluator votes on."""
+    """Record the number of test rows of every fold the evaluator votes on
+    through `_vote`, which certified folds bypass; the masks below have
+    fewer than `_GRAM_MIN` features, so every fold goes through it."""
     calls = []
 
     def counting(d2, *args):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sfekit import FitnessEvaluator, HybridParams, PsoParams, resolve_algorithm, stratified_kfold
+from sfekit import fitness
 
 from util import blob_dataset
 
@@ -51,3 +52,32 @@ def test_golden_trace(name):
     if name.startswith("sfe_"):
         assert trace.handoff_fes is not None  # the continuation engine ran
     assert trace_digest(trace) == digest
+
+
+# 2000 columns, so masks reach the certified Gram distances of `_accuracy`
+# (`_GRAM_MIN` features or more), and BPSO's space is too large for the
+# wave's pair tensor: its waves are scored mask by mask.
+WIDE_DATASET = dict(n=30, d=2000, seed=2, shift=1.0, informative=4)
+
+# name: (final fitness, blake2b of the selected columns, blake2b of fes/best/nsel)
+WIDE_GOLDEN = {
+    "sfe": (90.0, "88b92d6896b08e4e31b91346f6b079a9", "4cc054cbf19a965e43e0bcc8c3fada87"),
+    "bpso": (93.33333333333333, "02c71e35a915da0504ba418c26ccd1b6",
+             "bfabd175e219797238e098ba36e2422d"),
+}
+
+
+def columns_digest(mask) -> str:
+    payload = json.dumps(np.flatnonzero(mask).tolist())
+    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(WIDE_GOLDEN))
+def test_golden_trace_wide(name):
+    ds = blob_dataset(**WIDE_DATASET)
+    ev = FitnessEvaluator(ds, stratified_kfold(ds, 5, seed=1), budget=BUDGET)
+    trace = resolve_algorithm(name, PARAMS)(ds, ev, SEED)
+    assert max(trace.n_selected) >= fitness._GRAM_MIN
+    assert not ev._tensor  # never built (sfe) or refused (bpso)
+    assert (trace.final_fitness, columns_digest(trace.final_mask),
+            trace_digest(trace)) == WIDE_GOLDEN[name]
