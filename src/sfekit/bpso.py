@@ -94,10 +94,10 @@ def pso_search(
     evaluator's pair tensor, such as the hybrid's reduced one, the wave is
     scored by one matrix product, with every value still exact. Personal
     bests move only on strict improvement; the global best prefers the
-    lowest particle index on ties and steers the velocities. Each
-    evaluation is offered to the trace, so its best-fitness series is the
-    running maximum and the final mask is the running best: the first mask
-    to reach the best fitness, which ``n_selected[-1]`` counts.
+    lowest particle index on ties and steers the velocities. Each evaluation
+    is offered to the trace, numbered on from ``ev``'s count, so its best
+    series is the running maximum and the final mask is the running best:
+    the first mask to reach the best fitness, which ``n_selected[-1]`` counts.
     """
     rng = np.random.default_rng(seed)
     n = params.pop_size
@@ -118,14 +118,13 @@ def pso_search(
         positions[0] = init
     _repair_zero_rows(positions, rng)
 
-    trace = SearchTrace()
+    trace = SearchTrace(start=ev.used)
     fits = np.empty(n, dtype=np.float64)
 
     def evaluate_wave():
-        start = ev.used
         fits[:] = ev.evaluate_wave(positions)
-        for i in range(n):
-            trace.offer(start + i + 1, fits[i], positions[i])
+        for value, mask in zip(fits, positions):
+            trace.offer(value, mask)
 
     evaluate_wave()
 

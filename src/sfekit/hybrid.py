@@ -117,14 +117,13 @@ def sfe_ec_search(
 
     frozen = trace.final_mask
     reduced = subset_columns(ds, frozen)
-    start = ev.used
-    trace.handoff_fes = start
+    trace.handoff_fes = start = ev.used
     trace.handoff_mask = frozen
     seed_mask = np.ones(reduced.n_features, dtype=np.int8)  # the frozen mask, reduced
     trace.final_mask = seed_mask
 
     ev2 = ev.spawn(reduced)
-    ev2._charged = lambda value, mask: trace.offer(trace.fes[-1] + 1, value, mask)
+    ev2._charged = trace.offer
     try:
         engine(reduced, ev2, seed_mask.copy(), rng)
     finally:  # keep the caller's budget view exact across the handoff

@@ -125,8 +125,8 @@ def sfe_search(
 
     The incumbent is replaced whenever a candidate scores at least as well
     (ties move, which lets the walk drift across plateaus). One entry is
-    recorded per evaluation; with a greedy acceptance rule the incumbent's
-    fitness is the best seen so far.
+    recorded per evaluation, numbered on from ``ev``'s count; with a greedy
+    acceptance rule the incumbent's fitness is the best seen so far.
 
     Only the initial mask is scored in full. Each candidate is scored by
     `FitnessEvaluator.evaluate_at_least` against the incumbent's fitness,
@@ -142,11 +142,11 @@ def sfe_search(
     rng = np.random.default_rng(seed)
     nvar = ds.n_features
     max_fes = ev.budget
-    trace = SearchTrace()
+    trace = SearchTrace(start=ev.used)
 
     x = random_mask(nvar, rng)
     fit_x = ev.evaluate(x)
-    trace.record(ev.used, fit_x, int(x.sum()))
+    trace.record(fit_x, int(x.sum()))
 
     ur = ur_schedule(params, 0, max_fes)
     while ev.remaining_budget > 0 and not (stop is not None and stop(trace)):
@@ -161,7 +161,7 @@ def sfe_search(
         fit_cand = ev.evaluate_at_least(cand, fit_x)
         if fit_cand >= fit_x:
             x, fit_x = cand, fit_cand
-        trace.record(ev.used, fit_x, int(x.sum()))
+        trace.record(fit_x, int(x.sum()))
         ur = ur_schedule(params, ev.used, max_fes)
 
     trace.final_mask = x

@@ -1,9 +1,9 @@
 """Per-evaluation search traces.
 
-Every search records one entry per charged fitness evaluation: the
-evaluation counter, the best fitness seen so far, and the selected-feature
-count of the current best mask. Convergence curves and stagnation checks
-are both defined over this series.
+Every search records one entry per charged fitness evaluation: the best
+fitness seen so far and the selected-feature count of the current best
+mask. An entry's evaluation number is its position. Convergence curves
+and stagnation checks are both defined over this series.
 
 Two rules fill it. The single-agent search `record`s its incumbent, which
 moves on ties. Every other search `offer`s each evaluation under the
@@ -24,15 +24,16 @@ __all__ = ["SearchTrace"]
 class SearchTrace:
     """Trace of one search run.
 
-    ``fes``, ``best_fitness`` and ``n_selected`` are parallel lists indexed
-    by evaluation; ``final_fitness`` reads the last best (NaN when empty).
-    ``final_mask`` is the best mask at termination, in the index space of
-    the dataset the search was handed. Staged searches set ``handoff_fes``
-    to the evaluation at which control changed hands and ``handoff_mask``
-    to the mask frozen there (both None when no handoff happened).
+    ``best_fitness`` and ``n_selected`` are parallel lists; ``fes`` numbers
+    their entries on from ``start``, the evaluator's count before the first.
+    ``final_fitness`` reads the last best (NaN when empty). ``final_mask``
+    is the best mask at termination, in the index space of the dataset the
+    search was handed. Staged searches set ``handoff_fes`` to the evaluation
+    at which control changed hands and ``handoff_mask`` to the mask frozen
+    there (both None when no handoff happened).
     """
 
-    fes: list = field(default_factory=list)
+    start: int = 0
     best_fitness: list = field(default_factory=list)
     n_selected: list = field(default_factory=list)
     final_mask: np.ndarray = None
@@ -40,28 +41,29 @@ class SearchTrace:
     handoff_mask: np.ndarray = None
 
     @property
+    def fes(self) -> list:
+        return list(range(self.start + 1, self.start + len(self) + 1))
+
+    @property
     def final_fitness(self) -> float:
         return self.best_fitness[-1] if self.best_fitness else float("nan")
 
-    def record(self, fes: int, best: float, n_selected: int) -> None:
-        if self.fes and fes <= self.fes[-1]:
-            raise ValueError("trace entries must have strictly increasing FEs")
-        self.fes.append(int(fes))
+    def record(self, best: float, n_selected: int) -> None:
         self.best_fitness.append(float(best))
         self.n_selected.append(int(n_selected))
 
-    def offer(self, fes: int, value: float, mask) -> None:
-        """Record evaluation ``fes`` of ``mask`` under the running-best rule.
+    def offer(self, value: float, mask) -> None:
+        """Record the next evaluation, of ``mask``, under the running-best rule.
 
         The entry and ``final_mask`` (a copy) change only when ``value``
         beats the best so far strictly; otherwise the entry repeats the
         previous one.
         """
-        if self.fes and not value > self.best_fitness[-1]:
-            self.record(fes, self.best_fitness[-1], self.n_selected[-1])
+        if self.best_fitness and not value > self.best_fitness[-1]:
+            self.record(self.best_fitness[-1], self.n_selected[-1])
         else:
-            self.record(fes, value, np.count_nonzero(mask))
+            self.record(value, np.count_nonzero(mask))
             self.final_mask = np.array(mask, dtype=np.int8)
 
     def __len__(self) -> int:
-        return len(self.fes)
+        return len(self.best_fitness)

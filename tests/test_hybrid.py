@@ -28,8 +28,8 @@ def checks_after_each_entry(values):
     """`stagnation_check` after recording each of ``values`` in turn."""
     t = SearchTrace()
     fired = []
-    for fes, value in enumerate(values, 1):
-        t.record(fes, value, 3)
+    for value in values:
+        t.record(value, 3)
         fired.append(stagnation_check(t, SMALL))
     return fired
 
@@ -109,10 +109,7 @@ def test_combined_trace_is_continuous_and_never_dips():
 
 def test_identity_engine_returns_handoff_unchanged():
     def identity_engine(reduced_ds, ev, seed_mask, rng):
-        # spends nothing, so the combined trace ends at the handoff
-        trace = SearchTrace()
-        trace.final_mask = seed_mask.copy()
-        return trace
+        pass  # spends nothing, so the combined trace ends at the handoff
 
     ds = constant_dataset(n=20, d=10)
     ev = make_ev(ds, budget=100)
@@ -246,10 +243,11 @@ def test_what_an_engine_returns_is_ignored():
     # a one-column mask beat the handoff, so the engine's mask was taken
     assert np.count_nonzero(expected.final_mask) == expected.n_selected[-1] == 1
     assert expected.final_fitness > expected.best_fitness[30]
-    # a dict; a trace that skips and invents entries, with lists of unequal
-    # length and a mask of the wrong length; an empty mask; a bare array
+    # a dict; a trace that starts elsewhere and invents an entry, with lists
+    # of unequal length and a mask of the wrong length; an empty mask; a
+    # bare array
     junk = ({"final_mask": None},
-            SearchTrace(fes=[1, 5, 99], best_fitness=[101.0], n_selected=[],
+            SearchTrace(start=98, best_fitness=[101.0], n_selected=[],
                         final_mask=np.ones(11, dtype=np.int8)),
             SearchTrace(final_mask=np.zeros(10, dtype=np.int8)),
             np.ones(1, dtype=np.int8))
@@ -283,9 +281,9 @@ def test_an_engine_trace_with_short_lists_loses_no_entry():
     ds = blob_dataset(25, 10, seed=2)
 
     def dropping_its_last_entry(reduced_ds, ev, seed_mask, rng):
-        t = SearchTrace()
+        t = SearchTrace(start=ev.used)
         for _ in range(5):
-            t.offer(ev.used + 1, ev.evaluate(seed_mask), seed_mask)
+            t.offer(ev.evaluate(seed_mask), seed_mask)
         del t.best_fitness[-1], t.n_selected[-1]
         return t
 
@@ -300,9 +298,9 @@ def test_an_engine_mask_that_its_trace_never_scored_is_not_taken():
     ds = blob_dataset(25, 10, seed=2)
 
     def claiming_a_better_seed(reduced_ds, ev, seed_mask, rng):
+        t = SearchTrace(start=ev.used)
         ev.evaluate(seed_mask)
-        t = SearchTrace()
-        t.offer(ev.used, 101.0, seed_mask)  # above any accuracy
+        t.offer(101.0, seed_mask)  # above any accuracy
         t.final_mask = one_column(reduced_ds)
         return t
 
@@ -320,16 +318,11 @@ def test_engine_may_not_overspend():
 
     def engine(reduced_ds, ev, seed_mask, rng):
         ev.used = ev.budget + 5
-        t = SearchTrace()
-        t.final_mask = seed_mask.copy()
-        return t
 
     def raising_its_budget(reduced_ds, ev, seed_mask, rng):
         ev.budget = 1000
-        t = SearchTrace()
         while ev.used < 100:
-            t.offer(ev.used + 1, ev.evaluate(seed_mask), seed_mask)
-        return t
+            ev.evaluate(seed_mask)
 
     # the engine is held to the caller's budget, not to its evaluator's own
     for overspending in (engine, raising_its_budget):
@@ -343,9 +336,6 @@ def test_engine_may_not_lower_the_evaluators_count():
 
     def rewinding(reduced_ds, ev, seed_mask, rng):
         ev.used = 0
-        t = SearchTrace()
-        t.final_mask = seed_mask.copy()
-        return t
 
     ev = make_ev(ds, budget=60)
     with pytest.raises(EngineContractError, match="31 used at the handoff"):
@@ -357,9 +347,7 @@ def test_warmup_counts_the_searchs_own_evaluations():
     params = HybridParams(warmup_fes=20, stagnation_window=10)
 
     def idle(reduced_ds, ev, seed_mask, rng):
-        t = SearchTrace()
-        t.final_mask = seed_mask.copy()
-        return t
+        pass
 
     ev = FitnessEvaluator(ds, stratified_kfold(ds, 5, seed=1), budget=60, used=15)
     trace = sfe_ec_search(ds, ev, idle, params, seed=1)
@@ -396,11 +384,7 @@ def test_an_engine_worse_than_the_frozen_mask_leaves_it_in_place():
     scored = []
 
     def worse(reduced_ds, ev, seed_mask, rng):
-        t = SearchTrace()
-        mask = one_column(reduced_ds)
-        scored.append(ev.evaluate(mask))
-        t.offer(ev.used, scored[-1], mask)
-        return t
+        scored.append(ev.evaluate(one_column(reduced_ds)))
 
     ev = make_ev(ds, budget=60)
     trace = sfe_ec_search(ds, ev, worse, SMALL, seed=1)
@@ -420,9 +404,9 @@ def test_a_recording_engine_gives_the_final_fitness_of_its_last_entry():
 
     def recording(reduced_ds, ev, seed_mask, rng):
         # fills its trace with `record`, as `sfe_search` does
-        t = SearchTrace()
+        t = SearchTrace(start=ev.used)
         while ev.remaining_budget > 0:
-            t.record(ev.used + 1, ev.evaluate(seed_mask), seed_mask.sum())
+            t.record(ev.evaluate(seed_mask), seed_mask.sum())
         t.final_mask = seed_mask.copy()
         return t
 
@@ -433,14 +417,21 @@ def test_a_recording_engine_gives_the_final_fitness_of_its_last_entry():
 
 
 def test_final_fitness_is_read_from_the_last_entry():
-    t = SearchTrace()
-    assert np.isnan(t.final_fitness)
-    t.record(1, 50.0, 3)
+    t = SearchTrace(start=4)
+    assert np.isnan(t.final_fitness) and t.fes == []
+    t.record(50.0, 3)
     assert t.final_fitness == 50.0
+    # an entry's FE number is its position, counted on from start
+    t.record(50.0, 3)
+    assert t.fes == [5, 6]
     with pytest.raises(AttributeError):
         t.final_fitness = 75.0
+    with pytest.raises(AttributeError):
+        t.fes = [1, 2]
     with pytest.raises(TypeError):
         SearchTrace(final_fitness=75.0)
+    with pytest.raises(TypeError):
+        SearchTrace(fes=[1])
 
 
 def test_a_raising_engine_is_charged_what_it_spent():

@@ -2,12 +2,14 @@
 the running-best rule of `SearchTrace.offer` and the k-NN vote against
 their straight-line oracles.
 
-Each search example draws a small dataset, a budget and the trigger
-settings, runs one registered search name and checks what every run must
-satisfy whatever the data: the trace has one entry per charged evaluation,
-the budget is spent (whole particle waves for the swarm searches), the
-best-so-far series never falls, the final mask has as many features as
-the last entry records, and a handoff never comes inside the warm-up.
+Each search example draws a small dataset, a budget, a share of it spent
+before the search starts and the trigger settings, runs one registered
+search name and checks what every run must satisfy whatever the data: the
+trace has one entry per evaluation the search charged, numbered on from
+the evaluator's count, the budget is spent (whole particle waves for the
+swarm searches), the best-so-far series never falls, the final mask has
+as many features as the last entry records, and a handoff never comes
+inside the warm-up.
 Custom continuation engines, also ones whose every offer is worse than
 the handoff, are held to the same trace and final-mask invariants.
 Early-abandoned scoring is checked against exact scoring of the same mask,
@@ -69,11 +71,13 @@ def runs(draw):
     d = draw(st.integers(1, 10))
     pop_size = draw(st.integers(2, 6))
     window = draw(st.integers(1, 12))
+    budget = draw(st.integers(pop_size, 120))
     return dict(
         ds=blob_dataset(n, d, seed=draw(st.integers(0, 2**16)),
                         informative=draw(st.integers(0, d))),
         folds=draw(st.integers(2, 4)),
-        budget=draw(st.integers(pop_size, 120)),
+        budget=budget,
+        used=draw(st.integers(0, budget - pop_size)),  # spent before the search starts
         params=HybridParams(
             warmup_fes=window + draw(st.integers(1, 40)),
             stagnation_window=window,
@@ -87,12 +91,12 @@ def runs(draw):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(run=runs())
 def test_budget_trace_and_handoff_invariants(name, run):
-    ds, params, budget = run["ds"], run["params"], run["budget"]
+    ds, params, budget, used = run["ds"], run["params"], run["budget"], run["used"]
     folds = stratified_kfold(ds, run["folds"], seed=run["seed"])
-    ev = FitnessEvaluator(ds, folds, budget=budget)
+    ev = FitnessEvaluator(ds, folds, budget=budget, used=used)
     trace = resolve_algorithm(name, params)(ds, ev, run["seed"])
 
-    assert trace.fes == list(range(1, ev.used + 1))
+    assert trace.fes == list(range(used + 1, ev.used + 1))
     if NAMES[name]:
         assert budget - params.pso.pop_size < ev.used <= budget
     else:
@@ -105,7 +109,7 @@ def test_budget_trace_and_handoff_invariants(name, run):
     assert np.count_nonzero(trace.final_mask) == trace.n_selected[-1]
     if trace.handoff_fes is not None:
         assert name not in ("sfe", "bpso")
-        assert params.warmup_fes < trace.handoff_fes < ev.used
+        assert used + params.warmup_fes < trace.handoff_fes < ev.used
         # the continuation searched only the columns frozen at the handoff
         assert set(np.flatnonzero(trace.final_mask)) <= set(np.flatnonzero(trace.handoff_mask))
 
@@ -125,7 +129,7 @@ def custom_engines(draw):
             ev.evaluate(random_mask(d, mask_rng))
         if returns == "trace":
             n = int(mask_rng.integers(0, 5))
-            return SearchTrace(fes=sorted(mask_rng.integers(0, 10**4, n).tolist()),
+            return SearchTrace(start=int(mask_rng.integers(0, 10**4)),
                                best_fitness=mask_rng.uniform(0, 101, n).tolist(),
                                n_selected=mask_rng.integers(0, d + 2, n).tolist(),
                                final_mask=random_mask(d, mask_rng))
@@ -140,12 +144,12 @@ def test_a_custom_engine_joins_under_the_running_best_rule(run, engine):
     """Whatever the engine returns, the hybrid records one entry per charged
     evaluation under the running best, and its final mask is the one the
     last entry counts and scores, inside the frozen mask."""
-    ds, params = run["ds"], run["params"]
+    ds, params, used = run["ds"], run["params"], run["used"]
     folds = stratified_kfold(ds, run["folds"], seed=run["seed"])
-    ev = FitnessEvaluator(ds, folds, budget=run["budget"])
+    ev = FitnessEvaluator(ds, folds, budget=run["budget"], used=used)
     trace = sfe_ec_search(ds, ev, engine, params, run["seed"])
 
-    assert trace.fes == list(range(1, ev.used + 1))
+    assert trace.fes == list(range(used + 1, ev.used + 1))
     best = trace.best_fitness
     assert all(a <= b for a, b in zip(best, best[1:]))
     assert trace.final_fitness == best[-1]
@@ -194,7 +198,7 @@ def test_offer_keeps_the_first_mask_to_reach_the_running_best(offer):
     values, masks = offer
     trace = SearchTrace()
     for fes, (value, mask) in enumerate(zip(values, masks), 1):
-        trace.offer(fes, value, mask)
+        trace.offer(value, mask)
         first = int(np.argmax(values[:fes]))  # argmax returns the first maximum
         assert trace.fes[-1] == fes
         assert trace.best_fitness[-1] == max(values[:fes]) == trace.final_fitness
@@ -204,9 +208,6 @@ def test_offer_keeps_the_first_mask_to_reach_the_running_best(offer):
     keep = trace.final_mask.copy()
     masks[:] = 1 - masks
     assert np.array_equal(trace.final_mask, keep)
-    # entries only move forward
-    with pytest.raises(ValueError, match="strictly increasing FEs"):
-        trace.offer(len(values), values[0], masks[0])
 
 
 @st.composite
