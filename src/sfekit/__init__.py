@@ -28,12 +28,10 @@ from .harness import (
 from .hybrid import (
     EngineContractError,
     HybridParams,
-    hillclimb_engine,
     resolve_algorithm,
     resolve_engine,
     sfe_ec_search,
     sfe_pso_search,
-    stagnation_check,
 )
 from .sfe import SfeParams, sfe_search
 from .stats import Mark, friedman_mean_ranks, wilcoxon_ranksum
@@ -62,7 +60,6 @@ __all__ = [
     "emit_convergence",
     "format_report",
     "friedman_mean_ranks",
-    "hillclimb_engine",
     "load_config",
     "load_csv",
     "load_runs",
@@ -73,7 +70,6 @@ __all__ = [
     "sfe_ec_search",
     "sfe_pso_search",
     "sfe_search",
-    "stagnation_check",
     "stratified_kfold",
     "subset_columns",
     "wilcoxon_ranksum",

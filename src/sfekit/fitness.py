@@ -29,24 +29,22 @@ least ``E``; each path bounds ``|d~ - E|`` at ``a`` and at every such
 neighbour. If all of ``C_i`` share one label, it is ``a``'s and the vote.
 Otherwise the least of the row's `_sq_dists` distances to ``C_i``
 decides, the lowest index on a tie. That needs `_sq_dists` to give a
-pair the same bits in a 1 x c block as in a fold's block and in its
-transpose: a difference negates exactly, and up to `_GRAM_MAX` features
-numpy's einsum sums a pair's products in an order set by m alone (the
-property tests check this). The bounds use ``u = 2**-53`` and
-``g(k) = k u / (1 - k u)``; those on sums of m terms hold in any
-summation order, with or without fused multiply-adds, so they cover
-BLAS's blocking (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., Lemma 3.1 and section 3.1).
+pair the same bits in every block, at every width: a difference negates
+exactly, and it sums a pair's products in runs of `_RUN` columns, each in
+an order set by its length alone (the property tests check this). The
+bounds use ``u = 2**-53`` and ``g(k) = k u / (1 - k u)``; those on sums of
+m terms hold in any summation order, with or without fused multiply-adds,
+so they cover BLAS's blocking and those runs (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1 and section 3.1).
 
 Distances by the Gram identity
 ------------------------------
-A mask of `_GRAM_MIN` to `_GRAM_MAX` features takes its cross-fold
-distances from one matrix product per fold,
-``d~ = s_i + s_j - 2 x_i . x_j`` with the squared row norms
-``s = einsum("ij,ij->i")`` computed once per evaluation, instead of from
-`_sq_dists`'s difference blocks. Let ``D`` be the exact squared distance
-of rows ``x`` and ``y`` over the m features, and ``S = |x|^2 + |y|^2``
-exactly, so ``D <= 2 S``.
+A mask of `_GRAM_MIN` features or more takes its cross-fold distances
+from one matrix product per fold, ``d~ = s_i + s_j - 2 x_i . x_j`` with
+the squared row norms ``s = einsum("ij,ij->i")`` computed once per
+evaluation, instead of from `_sq_dists`'s difference blocks. Let ``D``
+be the exact squared distance of rows ``x`` and ``y`` over the m
+features, and ``S = |x|^2 + |y|^2`` exactly, so ``D <= 2 S``.
 
 - ``E`` rounds each difference and each square once, then sums the m
   squares: ``|E - D| <= g(m + 2) D <= 2 g(m + 2) S``.
@@ -69,9 +67,9 @@ overflow, and the evaluation keeps the difference blocks.
 
 The Gram identity cancels badly when the rows sit far from the origin
 relative to their spread (columns offset by 1e7, say): then most rows fall
-back, which is slow but still exact. Outside `_GRAM_MIN` to `_GRAM_MAX`
-features, and at ``knn_k > 1``, the difference blocks are used throughout
-and `_vote` decides.
+back, which is slow but still exact. Below `_GRAM_MIN` features, and at
+``knn_k > 1``, the difference blocks are used throughout and `_vote`
+decides.
 
 A wave of masks from a pair tensor
 ----------------------------------
@@ -81,12 +79,11 @@ every feature, ``T[p, k] = fl(fl(x_k - y_k)**2)`` for the pair ``p = (x, y)``,
 one fold's block of pairs at a time. A wave of masks M (masks x features,
 0 or 1) is then one product, ``V = M @ T.T``, and each test row's nearest
 neighbour is certified as above, whatever the mask's size. The tensor is
-built only when it holds at most `_TENSOR_ELEMS` values and the space at
-most `_GRAM_MAX` features, and is kept only when every pair's sum over
-all features is below ``2**1000``, so no sum below can overflow. That
-refuses a squared difference that overflows, which would also put
-``inf * 0 = NaN`` in the product. Otherwise the wave is scored by
-`evaluate`, mask by mask.
+built only when it holds at most `_TENSOR_ELEMS` values, and is kept only
+when every pair's sum over all features is below ``2**1000``, so no sum
+below can overflow. That refuses a squared difference that overflows,
+which would also put ``inf * 0 = NaN`` in the product. Otherwise the wave
+is scored by `evaluate`, mask by mask.
 
 For one pair and a mask of m features, let ``d_k = fl(x_k - y_k)``,
 which the tensor and `_sq_dists` both compute (a difference negates
@@ -130,14 +127,15 @@ _CHUNK_ELEMS = 16_000_000
 # Colon-shaped data (62 x 2000, 2 vCPUs, OpenBLAS) one FE cost about the same
 # both ways at 44-48 features; the difference blocks are faster below.
 _GRAM_MIN = 48
-# Most selected features for it. Above 8192 (its iterator's buffer size),
-# numpy's einsum splits a pair's sum at points set by the pair's place in
-# the block, so the fallback's 1 x c blocks could not reproduce the bits.
-_GRAM_MAX = 8192
+# Columns that `_sq_dists` sums in one einsum call. 8192 is numpy's fixed
+# einsum buffer size (`np.setbufsize` does not move it): a wider sum is split
+# at points set by the pair's place in the block, a sum this wide or less in
+# an order set by its length alone.
+_RUN = 8192
 
-# Most float64 values in a wave's pair tensor (4 MiB): 341 features at
-# 62 rows in 5 folds, so the hybrid's reduced spaces fit and BPSO's
-# 2000-feature space (24.6 MB) keeps the per-mask path.
+# Most float64 values in a wave's pair tensor (4 MiB), its only bound on the
+# space's width: 341 features at 62 rows in 5 folds, so the hybrid's reduced
+# spaces fit and BPSO's 2000-feature space (24.6 MB) keeps the per-mask path.
 _TENSOR_ELEMS = 512 * 1024
 
 
@@ -151,12 +149,17 @@ def _sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``out`` is a (len(A), len(B)) array or view. Computed by direct
     differencing rather than the expanded dot-product identity: equal rows
     must give exactly 0.0 so that tie-breaking between equidistant
-    neighbours is reproducible.
+    neighbours is reproducible. Runs of `_RUN` columns are summed apart and
+    added in column order, so a pair gets the same bits in every block.
     """
     step = max(1, _CHUNK_ELEMS // max(1, B.size))
     for s in range(0, len(A), step):
         block = A[s : s + step, None, :] - B[None, :, :]
-        np.einsum("ijk,ijk->ij", block, block, out=out[s : s + step])
+        if block.shape[2] <= _RUN:
+            np.einsum("ijk,ijk->ij", block, block, out=out[s : s + step])
+        else:
+            runs = np.split(block, range(_RUN, block.shape[2], _RUN), axis=2)
+            out[s : s + step] = sum(np.einsum("ijk,ijk->ij", r, r) for r in runs)
         del block  # freed before the next chunk's block is allocated
     return out
 
@@ -374,7 +377,7 @@ class FitnessEvaluator:
         n, d = X.shape
         # pairs of each fold's test rows with the later folds' rows
         sizes = [(hi - lo) * (n - hi) for lo, hi, *_ in self._fold_rows]
-        if self.knn_k > 1 or d > _GRAM_MAX or sum(sizes) * d > _TENSOR_ELEMS:
+        if self.knn_k > 1 or sum(sizes) * d > _TENSOR_ELEMS:
             return False
         Xo = X.take(self._order, axis=0)
         T = np.empty((sum(sizes), d))
@@ -449,7 +452,7 @@ class FitnessEvaluator:
         Xs = self.dataset.X.take(sel, axis=1).take(self._order, axis=0)
         n, k = Xs.shape[0], len(self._fold_rows)
         d2 = np.empty((n, n))
-        gram = self.knn_k == 1 and _GRAM_MIN <= sel.size <= _GRAM_MAX
+        gram = self.knn_k == 1 and sel.size >= _GRAM_MIN
         if gram:
             sq = np.einsum("ij,ij->i", Xs, Xs)
             top = sq.max()

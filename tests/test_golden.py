@@ -81,3 +81,23 @@ def test_golden_trace_wide(name):
     assert not ev._tensor  # never built (sfe) or refused (bpso)
     assert (trace.final_fitness, columns_digest(trace.final_mask),
             trace_digest(trace)) == WIDE_GOLDEN[name]
+
+
+# 20000 columns, so sfe's first masks hold about 10,000 features: more than
+# `_sq_dists` sums in one einsum run (`fitness._RUN`), on the Gram path.
+WIDEST_DATASET = dict(n=30, d=20000, seed=2, shift=1.0, informative=4)
+
+# name: (final fitness, blake2b of the selected columns, blake2b of fes/best/nsel)
+WIDEST_GOLDEN = {
+    "sfe": (100.0, "3f3bcd77e7a4edf4b27e683b295b9c70", "e1014a89f39797c2b93fafc52ffcd9e9"),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDEST_GOLDEN))
+def test_golden_trace_widest(name):
+    ds = blob_dataset(**WIDEST_DATASET)
+    ev = FitnessEvaluator(ds, stratified_kfold(ds, 5, seed=1), budget=BUDGET)
+    trace = resolve_algorithm(name, PARAMS)(ds, ev, SEED)
+    assert max(trace.n_selected) > fitness._RUN
+    assert (trace.final_fitness, columns_digest(trace.final_mask),
+            trace_digest(trace)) == WIDEST_GOLDEN[name]

@@ -8,16 +8,15 @@ from sfekit import (
     PsoParams,
     SearchTrace,
     SfeParams,
-    hillclimb_engine,
     pso_search,
     resolve_algorithm,
     resolve_engine,
     sfe_ec_search,
     sfe_pso_search,
     sfe_search,
-    stagnation_check,
     stratified_kfold,
 )
+from sfekit.hybrid import hillclimb_engine, stagnation_check
 
 from util import blob_dataset, constant_dataset, make_ev
 

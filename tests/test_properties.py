@@ -16,7 +16,7 @@ Early-abandoned scoring is checked against exact scoring of the same mask,
 and both against a direct per-fold k-NN cross-validation on hand-built
 folds, also for masks wide enough to take the certified Gram distances and
 for whole swarm waves scored from the pair tensor, on data made to tie and
-to cancel. `load_csv` is checked against a per-cell
+to cancel, in spaces on both sides of one 8192-column einsum run. `load_csv` is checked against a per-cell
 `float()` reader.
 """
 
@@ -329,16 +329,19 @@ KINDS = {
 
 @st.composite
 def gram_cases(draw):
-    # masks on both sides of _GRAM_MIN, on hand-built unequal folds
-    n = draw(st.integers(9, 30))
+    # masks on both sides of _GRAM_MIN, or of `_sq_dists`'s run on fewer
+    # rows, on hand-built unequal folds
+    wide = draw(st.booleans())
+    n = draw(st.integers(9, 12 if wide else 30))
     k = draw(st.integers(2, 4))
     fold = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
     fold[draw(st.permutations(range(n)))[:k]] = np.arange(k)  # no empty fold
     kind = draw(st.sampled_from(sorted(KINDS)))
-    d = fitness._GRAM_MIN + draw(st.integers(0, 600))
+    low = fitness._RUN if wide else fitness._GRAM_MIN
+    d = low + draw(st.integers(0, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     mask = np.zeros(d, np.int8)
-    mask[rng.permutation(d)[:draw(st.integers(fitness._GRAM_MIN - 8, d))]] = 1
+    mask[rng.permutation(d)[:draw(st.integers(low - 8, d))]] = 1
     return dict(ds=Dataset(X=KINDS[kind](rng, n, d), y=rng.integers(0, 2, n)),
                 folds=FoldAssignment(fold_of_instance=fold, k=k), mask=mask, kind=kind,
                 fold_mean=draw(st.booleans()), at_least=100.0 * draw(st.integers(0, n)) / n)
@@ -374,17 +377,20 @@ def test_gram_path_matches_the_direct_per_fold_kernel():
 
 @st.composite
 def wave_cases(draw):
-    # a wave of masks from 1 feature to all, 2 to 4 classes, hand-built folds
-    n = draw(st.integers(9, 30))
+    # a wave of masks from 1 feature to all, 2 to 4 classes, hand-built folds;
+    # some spaces wider than `_sq_dists`'s run, on at most 12 rows: 54
+    # cross-fold pairs of 9692 features still fit the pair tensor's cap
+    wide = draw(st.booleans())
+    n = draw(st.integers(9, 12 if wide else 30))
     k = draw(st.integers(2, 4))
     fold = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
     fold[draw(st.permutations(range(n)))[:k]] = np.arange(k)  # no empty fold
     kind = draw(st.sampled_from(sorted(KINDS)))
-    d = draw(st.integers(1, 120))
+    d = fitness._RUN + draw(st.integers(1, 1500)) if wide else draw(st.integers(1, 120))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     masks = np.zeros((draw(st.integers(1, 6)), d), np.int8)
-    for mask in masks:
-        mask[rng.permutation(d)[:draw(st.integers(1, d))]] = 1
+    for mask in masks:  # wide masks on both sides of the run
+        mask[rng.permutation(d)[:draw(st.integers(d - 2000 if wide else 1, d))]] = 1
     return dict(ds=Dataset(X=KINDS[kind](rng, n, d),
                            y=rng.integers(0, draw(st.integers(2, 4)), n)),
                 folds=FoldAssignment(fold_of_instance=fold, k=k), masks=masks, kind=kind,
@@ -419,14 +425,17 @@ def test_wave_matches_the_direct_per_fold_kernel():
 
 @st.composite
 def pair_blocks(draw):
-    # rows of every kind, a split like a fold's, and a subset of training rows
+    # rows of every kind, a split like a fold's, a subset of training rows,
+    # and widths on both sides of `_sq_dists`'s run and of two runs
     kind = draw(st.sampled_from(sorted(KINDS)))
     n = draw(st.integers(6, 40))
-    d = draw(st.sampled_from([1, 2, 7, fitness._GRAM_MIN, 100, 1000, fitness._GRAM_MAX]))
+    d = draw(st.sampled_from([1, 2, 7, fitness._GRAM_MIN, 100, 1000, 8192, 8193, 10000, 20000]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     lo = draw(st.integers(0, n - 2))
     hi = draw(st.integers(lo + 1, n - 1))
-    return KINDS[kind](rng, n, d), lo, hi, rng.permutation(n - hi)[:draw(st.integers(1, n - hi))]
+    X = KINDS[kind](rng, n, d)
+    c = rng.permutation(n - hi)[:draw(st.integers(1, n - hi))]
+    return X, lo, hi, c, int(rng.integers(1, 4))  # rows a chunk under a small cap
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -434,12 +443,16 @@ def pair_blocks(draw):
 def test_a_pair_distance_has_the_same_bits_in_every_block(case):
     # The Gram path's fallback recomputes one test row against a few
     # training rows; its votes equal the fold blocks' only if these bits do.
-    X, lo, hi, c = case
-    block = _sq_dists(X[lo:hi], X[hi:], np.empty((hi - lo, len(X) - hi)))
-    transposed = _sq_dists(X[hi:], X[lo:hi], np.empty((len(X) - hi, hi - lo))).T
-    for i in range(hi - lo):
-        row = _sq_dists(X[lo + i : lo + i + 1], X[hi:][c], np.empty((1, c.size)))[0]
-        assert row.tobytes() == block[i, c].tobytes() == transposed[i, c].tobytes()
+    X, lo, hi, c, rows = case
+    A, B = X[lo:hi], X[hi:]
+    blocks = [_sq_dists(A, B, np.empty((len(A), len(B)))),
+              _sq_dists(B, A, np.empty((len(B), len(A)))).T]
+    with mock.patch.object(fitness, "_CHUNK_ELEMS", rows * B.size):  # `rows` rows a chunk
+        blocks.append(_sq_dists(A, B, np.empty((len(A), len(B)))))
+    for i in range(len(A)):
+        row = _sq_dists(A[i : i + 1], B[c], np.empty((1, c.size)))[0]
+        for block in blocks:
+            assert row.tobytes() == block[i, c].tobytes()
 
 
 def float_reader(path, label_col, has_header):
