@@ -127,10 +127,10 @@ _CHUNK_ELEMS = 16_000_000
 # Colon-shaped data (62 x 2000, 2 vCPUs, OpenBLAS) one FE cost about the same
 # both ways at 44-48 features; the difference blocks are faster below.
 _GRAM_MIN = 48
-# Columns that `_sq_dists` sums in one einsum call. 8192 is numpy's fixed
-# einsum buffer size (`np.setbufsize` does not move it): a wider sum is split
-# at points set by the pair's place in the block, a sum this wide or less in
-# an order set by its length alone.
+# Columns that `_sq_dists` sums in one einsum call. On numpy 2.4.6, 8192 is
+# einsum's fixed buffer size (`np.setbufsize` does not move it): a wider sum
+# is split at points set by the pair's place in the block, a sum this wide
+# or less in an order set by its length alone, also in a strided run view.
 _RUN = 8192
 
 # Most float64 values in a wave's pair tensor (4 MiB), its only bound on the
@@ -155,12 +155,12 @@ def _sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK_ELEMS // max(1, B.size))
     for s in range(0, len(A), step):
         block = A[s : s + step, None, :] - B[None, :, :]
-        if block.shape[2] <= _RUN:
-            np.einsum("ijk,ijk->ij", block, block, out=out[s : s + step])
-        else:
-            runs = np.split(block, range(_RUN, block.shape[2], _RUN), axis=2)
-            out[s : s + step] = sum(np.einsum("ijk,ijk->ij", r, r) for r in runs)
-        del block  # freed before the next chunk's block is allocated
+        run = block[..., :_RUN]  # the whole block at `_RUN` columns or fewer
+        np.einsum("ijk,ijk->ij", run, run, out=out[s : s + step])
+        for a in range(_RUN, block.shape[2], _RUN):
+            run = block[..., a : a + _RUN]
+            out[s : s + step] += np.einsum("ijk,ijk->ij", run, run)
+        del block, run  # freed before the next chunk's block is allocated
     return out
 
 

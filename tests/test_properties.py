@@ -328,10 +328,9 @@ KINDS = {
 
 
 @st.composite
-def gram_cases(draw):
-    # masks on both sides of _GRAM_MIN, or of `_sq_dists`'s run on fewer
-    # rows, on hand-built unequal folds
-    wide = draw(st.booleans())
+def gram_cases(draw, wide=False):
+    # masks on both sides of _GRAM_MIN, or if `wide` of `_sq_dists`'s run on
+    # fewer rows, on hand-built unequal folds
     n = draw(st.integers(9, 12 if wide else 30))
     k = draw(st.integers(2, 4))
     fold = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
@@ -347,11 +346,12 @@ def gram_cases(draw):
                 fold_mean=draw(st.booleans()), at_least=100.0 * draw(st.integers(0, n)) / n)
 
 
-def test_gram_path_matches_the_direct_per_fold_kernel():
+def gram_fallbacks(cases, examples):
+    # checks the cases; returns the fallback's `_sq_dists` calls per kind
     fallbacks = dict.fromkeys(KINDS, 0)  # rows whose vote the bound left in doubt
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(case=gram_cases())
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(case=cases)
     def check(case):
         ds, folds, mask = case["ds"], case["folds"], case["mask"]
         want = per_fold_accuracy(ds, folds, mask, 1, case["fold_mean"])
@@ -371,16 +371,27 @@ def test_gram_path_matches_the_direct_per_fold_kernel():
             fallbacks[case["kind"]] += len(calls)
 
     check()
+    return fallbacks
+
+
+def test_gram_path_matches_the_direct_per_fold_kernel():
+    fallbacks = gram_fallbacks(gram_cases(), 300)
     assert fallbacks["gaussian"] == 0
     assert fallbacks["integers"] and fallbacks["offset 1e4"] and fallbacks["offset 1e7"]
 
 
+def test_gram_path_matches_the_direct_per_fold_kernel_above_one_run():
+    fallbacks = gram_fallbacks(gram_cases(wide=True), 150)
+    assert fallbacks["gaussian"] == 0
+    # 0/1 rows this wide seldom tie; copies tie at any width
+    assert fallbacks["duplicated"] and fallbacks["offset 1e7"]
+
+
 @st.composite
-def wave_cases(draw):
+def wave_cases(draw, wide=False):
     # a wave of masks from 1 feature to all, 2 to 4 classes, hand-built folds;
-    # some spaces wider than `_sq_dists`'s run, on at most 12 rows: 54
+    # if `wide`, spaces wider than `_sq_dists`'s run on at most 12 rows: 54
     # cross-fold pairs of 9692 features still fit the pair tensor's cap
-    wide = draw(st.booleans())
     n = draw(st.integers(9, 12 if wide else 30))
     k = draw(st.integers(2, 4))
     fold = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
@@ -397,11 +408,12 @@ def wave_cases(draw):
                 fold_mean=draw(st.booleans()))
 
 
-def test_wave_matches_the_direct_per_fold_kernel():
+def wave_fallbacks(cases, examples):
+    # checks the cases; returns the fallback's `_sq_dists` calls per kind
     fallbacks = dict.fromkeys(KINDS, 0)  # rows whose vote the bound left in doubt
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(case=wave_cases())
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(case=cases)
     def check(case):
         ds, folds, masks = case["ds"], case["folds"], case["masks"]
         ev = FitnessEvaluator(ds, folds, budget=len(masks), fold_mean=case["fold_mean"])
@@ -419,8 +431,19 @@ def test_wave_matches_the_direct_per_fold_kernel():
         fallbacks[case["kind"]] += len(calls)
 
     check()
+    return fallbacks
+
+
+def test_wave_matches_the_direct_per_fold_kernel():
+    fallbacks = wave_fallbacks(wave_cases(), 300)
     assert fallbacks["gaussian"] == 0
     assert fallbacks["integers"] and fallbacks["duplicated"]
+
+
+def test_wave_matches_the_direct_per_fold_kernel_above_one_run():
+    fallbacks = wave_fallbacks(wave_cases(wide=True), 150)
+    assert fallbacks["gaussian"] == 0
+    assert fallbacks["duplicated"] and fallbacks["offset 1e7"]
 
 
 @st.composite
